@@ -105,13 +105,13 @@ inline core::SimulationResult run(const platform::ClusterConfig& platform,
   config.scheduler = scheduler;
   config.batch = batch;
   stats::DecisionJournal journal;
-  if (!journal_dir().empty()) config.journal = &journal;
+  if (!journal_dir().empty()) config.sinks.push_back(&journal);
   stats::StateSampler sampler;
-  if (!timeseries_dir().empty()) config.sampler = &sampler;
+  if (!timeseries_dir().empty()) config.sinks.push_back(&sampler);
   const double wall_begin = telemetry::enabled() ? telemetry::wall_now() : 0.0;
   core::SimulationResult result = core::run_simulation(config, std::move(jobs));
   detail::queue_high_water() = std::max(detail::queue_high_water(), result.queue_peak);
-  if (config.sampler) {
+  if (!timeseries_dir().empty()) {
     // Numbered like the journals: <dir>/<scheduler>.<n>.timeseries.csv.
     static int sample_index = 0;
     const std::string path = timeseries_dir() + "/" + scheduler + "." +
@@ -125,7 +125,7 @@ inline core::SimulationResult run(const platform::ClusterConfig& platform,
       std::fprintf(stderr, "timeseries: write failed: %s\n", error.what());
     }
   }
-  if (config.journal) {
+  if (!journal_dir().empty()) {
     // One journal per bench::run(), numbered in call order:
     //   <dir>/<scheduler>.<n>.journal.jsonl
     static int run_index = 0;

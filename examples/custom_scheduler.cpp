@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   rows.push_back(run_with(std::make_unique<SjfMalleableScheduler>(), platform_config,
                           workload::generate_workload(generator)));
-  for (const std::string& name : {"easy", "easy-malleable"}) {
+  for (const char* name : {"easy", "easy-malleable"}) {
     rows.push_back(run_with(core::make_scheduler(name), platform_config,
                             workload::generate_workload(generator)));
   }

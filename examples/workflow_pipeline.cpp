@@ -6,11 +6,10 @@
 //
 // Demonstrates: job dependencies (held/released/cancelled), GPU-targeted
 // compute tasks, and the event trace as a workflow debugging artifact.
+#include <algorithm>
 #include <cstdio>
 
-#include "core/batch_system.h"
-#include "core/scheduler.h"
-#include "platform/cluster.h"
+#include "core/simulation.h"
 #include "stats/trace.h"
 #include "util/flags.h"
 #include "util/units.h"
@@ -58,7 +57,8 @@ int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const auto pipelines = static_cast<int>(flags.get("pipelines", std::int64_t{6}));
 
-  platform::ClusterConfig config;
+  core::SimulationConfig run;
+  platform::ClusterConfig& config = run.platform;
   config.node_count = static_cast<std::size_t>(flags.get("nodes", std::int64_t{32}));
   config.cores_per_node = 48;
   config.flops_per_core = 2e9;
@@ -68,14 +68,11 @@ int main(int argc, char** argv) {
   config.pfs.write_bandwidth = 60e9;
   const double cpu_node = config.cores_per_node * config.flops_per_core;
   const double gpu_node = config.gpus_per_node * config.flops_per_gpu;
-
-  sim::Engine engine;
-  stats::Recorder recorder;
+  run.scheduler = "easy";
   stats::EventTrace trace;
-  platform::Cluster cluster(engine, config);
-  core::BatchSystem batch(engine, cluster, core::make_scheduler("easy"), recorder);
-  batch.set_event_trace(&trace);
+  run.sinks.push_back(&trace);
 
+  std::vector<workload::Job> jobs;
   workload::JobId id = 1;
   for (int p = 0; p < pipelines; ++p) {
     const double submit = 120.0 * p;
@@ -83,21 +80,22 @@ int main(int argc, char** argv) {
     auto simulate = stage(sim_id, "simulate" + std::to_string(p), 8, 600.0, 0.0,
                           64e9, {}, cpu_node, gpu_node);
     simulate.submit_time = submit;
-    batch.submit(std::move(simulate));
+    jobs.push_back(std::move(simulate));
 
     const workload::JobId train_id = id++;
     auto train = stage(train_id, "train" + std::to_string(p), 4, 30.0, 900.0, 8e9,
                        {sim_id}, cpu_node, gpu_node);
     train.submit_time = submit;
-    batch.submit(std::move(train));
+    jobs.push_back(std::move(train));
 
     const workload::JobId analyze_id = id++;
     auto analyze = stage(analyze_id, "analyze" + std::to_string(p), 2, 240.0, 0.0,
                          1e9, {train_id}, cpu_node, gpu_node);
     analyze.submit_time = submit;
-    batch.submit(std::move(analyze));
+    jobs.push_back(std::move(analyze));
   }
-  engine.run();
+  const core::SimulationResult result = core::run_simulation(run, std::move(jobs));
+  const stats::Recorder& recorder = result.recorder;
 
   std::printf("%d pipelines (simulate -> train[gpu] -> analyze) on %zu nodes\n\n",
               pipelines, config.node_count);
@@ -109,7 +107,11 @@ int main(int argc, char** argv) {
                 util::format_duration(record.wait_time()).c_str());
   }
   std::printf("\nfinished %zu, cancelled %zu; trace recorded %zu events\n",
-              batch.finished_jobs(), batch.cancelled_jobs(), trace.size());
+              result.finished,
+              static_cast<std::size_t>(std::count_if(
+                  recorder.records().begin(), recorder.records().end(),
+                  [](const stats::JobRecord& record) { return record.cancelled; })),
+              trace.size());
   std::printf("Each train stage was held until its simulate stage finished and ran\n"
               "on the GPUs; analyze stages followed automatically.\n");
   return 0;

@@ -1,10 +1,10 @@
 // elastisim — command-line front end.
 //
-//   elastisim --platform platform.json --workload workload.json \
-//             [--scheduler easy-malleable] [--interval 0] [--no-reconfig-cost] \
+//   elastisim --platform platform.json --workload workload.json
+//             [--scheduler easy-malleable] [--interval 0] [--no-reconfig-cost]
 //             [--out-dir results] [--log info]
 //
-//   elastisim --platform platform.json --swf trace.swf \
+//   elastisim --platform platform.json --swf trace.swf
 //             [--swf-cores-per-node 48] [--swf-malleable 0.0] ...
 //
 // Runs the workload on the platform under the chosen algorithm and writes
@@ -29,7 +29,6 @@
 // <out-dir>/profile.json) runs the self-profiler: hierarchical phase wall
 // times plus work-metric counters, written as deterministic-schema JSON.
 #include <algorithm>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -47,6 +46,7 @@
 #include "core/fault_injector.h"
 #include "core/flight_recorder.h"
 #include "core/invariant_checker.h"
+#include "core/schedulers.h"
 #include "core/simulation.h"
 #include "json/json.h"
 #include "stats/chrome_trace.h"
@@ -134,6 +134,11 @@ double duration_flag(const util::Flags& flags, const std::string& name, double f
   return fallback;
 }
 
+void make_parent_dirs(const std::string& path) {
+  const std::filesystem::path parent = std::filesystem::path(path).parent_path();
+  if (!parent.empty()) std::filesystem::create_directories(parent);
+}
+
 /// Cooperative single-run interrupt: the SIGINT/SIGTERM handler cancels this
 /// token, the engine stops between events, and the normal artifact-writing
 /// path still runs (summary.json lands with "partial": true, exit 130).
@@ -143,6 +148,17 @@ sim::CancellationToken g_run_token;
 void handle_run_signal(int) {
   g_run_token.cancel(sim::CancelReason::kInterrupted);
 }
+
+/// Closes the CLI's setup phase when the run begins, so job submission
+/// still bills to "setup" and the event loop to its own phases.
+class SetupPhaseEnd final : public stats::RunObserver {
+ public:
+  explicit SetupPhaseEnd(std::optional<stats::profiler::ScopedPhase>& scope) : scope_(scope) {}
+  void on_run_begin(double, std::size_t) override { scope_.reset(); }
+
+ private:
+  std::optional<stats::profiler::ScopedPhase>& scope_;
+};
 
 }  // namespace
 
@@ -178,6 +194,14 @@ int main(int argc, char** argv) {
   const std::string swf_path = flags.get("swf", std::string());
   if (platform_path.empty() || (workload_path.empty() && swf_path.empty())) {
     usage(argv[0]);
+    return 2;
+  }
+  const std::string scheduler = flags.get("scheduler", std::string("easy-malleable"));
+  if (!core::make_scheduler(scheduler)) {
+    std::string known;
+    for (const std::string& name : core::scheduler_names()) known += " " + name;
+    std::fprintf(stderr, "error: unknown scheduler \"%s\"; choose one of:%s\n",
+                 scheduler.c_str(), known.c_str());
     return 2;
   }
 
@@ -226,7 +250,7 @@ int main(int argc, char** argv) {
         std::in_place, stats::profiler::Phase::kSetup);
     core::SimulationConfig config;
     config.platform = platform::load_cluster_config(platform_path);
-    config.scheduler = flags.get("scheduler", std::string("easy-malleable"));
+    config.scheduler = scheduler;
     config.batch.scheduling_interval = flags.get("interval", 0.0);
     config.batch.charge_reconfiguration = !flags.get("no-reconfig-cost", false);
     const std::string policy_name = flags.get("failure-policy", std::string("requeue"));
@@ -338,16 +362,12 @@ int main(int argc, char** argv) {
     // --sample-interval without --timeseries still means "I want the
     // timeline"; a bare --timeseries samples at scheduling points only.
     const bool want_timeseries = flags.get("timeseries", false) || sample_interval > 0.0;
-    const bool want_telemetry = flags.get("telemetry", false) || !chrome_path.empty();
-    // --validate runs the InvariantChecker for the whole simulation: node
-    // conservation, queue/journal/sampler agreement, and monotonic clocks
-    // are re-verified at every scheduling point (docs/ANALYSIS.md).
-    const bool want_validate =
-        flags.get("validate", false) ||
-        [] {
-          const char* env = std::getenv("ELSIM_VALIDATE");
-          return env != nullptr && *env != '\0' && std::string(env) != "0";
-        }();
+    const bool want_telemetry = flags.get("telemetry", false);
+    // --validate (or ELSIM_VALIDATE) runs the InvariantChecker for the whole
+    // simulation: node conservation, queue/journal/sampler agreement, and
+    // monotonic clocks are re-verified at every scheduling point
+    // (docs/ANALYSIS.md).
+    config.validate = flags.get("validate", false);
     // Flags only read on branches this invocation skipped (e.g. --swf-* on a
     // --workload run) are still legitimate; register them before diagnosing.
     flags.note_known({"platform", "workload", "swf", "scheduler", "interval",
@@ -370,128 +390,57 @@ int main(int argc, char** argv) {
     }
     if (want_telemetry) telemetry::set_enabled(true);
 
-    // Wire the pieces by hand (instead of run_simulation) so the optional
-    // event trace and telemetry sinks can be attached.
-    core::SimulationResult result;
-    std::vector<workload::JobId> stuck_ids;
+    stats::EventTrace trace;
+    if (want_trace) config.sinks.push_back(&trace);
+    stats::DecisionJournal journal;
+    if (!journal_path.empty()) config.sinks.push_back(&journal);
+    stats::StateSampler sampler(sample_interval);
+    if (want_timeseries) config.sinks.push_back(&sampler);
+    telemetry::ChromeTraceBuilder chrome;
+    if (!chrome_path.empty()) config.sinks.push_back(&chrome);
+    SetupPhaseEnd setup_end(setup_scope);
+    config.sinks.push_back(&setup_end);
+    config.failures = &failures;
+    // Ctrl-C stops the engine between events; every sink below still
+    // flushes, so an interrupted run leaves complete (partial) artifacts.
+    config.cancel = &g_run_token;
+    std::signal(SIGINT, handle_run_signal);
+    std::signal(SIGTERM, handle_run_signal);
+    const core::SimulationResult result = core::run_simulation(config, std::move(jobs));
+    std::signal(SIGINT, SIG_DFL);
+    std::signal(SIGTERM, SIG_DFL);
+    if (result.validated_events > 0 || config.validate) {
+      std::printf("validated %llu scheduling points, %llu events: all invariants hold\n",
+                  static_cast<unsigned long long>(result.validated_points),
+                  static_cast<unsigned long long>(result.validated_events));
+    }
+
+    // Everything from here on is artifact writing, billed to "output".
     {
-      sim::Engine engine;
-      platform::Cluster cluster(engine, config.platform);
-      core::BatchSystem batch(engine, cluster, core::make_scheduler(config.scheduler),
-                              result.recorder, config.batch);
-      stats::EventTrace trace;
-      if (want_trace) batch.set_event_trace(&trace);
-      stats::DecisionJournal journal;
-      if (!journal_path.empty()) batch.set_journal(&journal);
-      stats::StateSampler sampler(sample_interval);
-      if (want_timeseries) batch.set_state_sampler(&sampler);
-      telemetry::ChromeTraceBuilder chrome;
-      if (!chrome_path.empty()) batch.set_chrome_trace(&chrome);
-      core::InvariantChecker checker;
-      if (want_validate) {
-        checker.attach_engine(engine);
-        batch.set_invariant_checker(&checker);
-      }
-      core::FaultInjector::apply(batch, failures);
-      if (flight != nullptr) {
-        engine.set_event_hook(&core::FlightRecorder::engine_event_hook, flight);
-        batch.set_flight_recorder(flight);
-      }
-      result.submitted = batch.submit_all(std::move(jobs));
-      if (flight != nullptr) {
-        flight->note_mark(engine.now(), core::FlightMark::kRunBegin, result.submitted);
-      }
-      setup_scope.reset();
-      // Ctrl-C stops the engine between events; every sink below still
-      // flushes, so an interrupted run leaves complete (partial) artifacts.
-      engine.set_cancellation(&g_run_token);
-      std::signal(SIGINT, handle_run_signal);
-      std::signal(SIGTERM, handle_run_signal);
-      const auto wall_begin = std::chrono::steady_clock::now();
-      engine.run();
-      std::signal(SIGINT, SIG_DFL);
-      std::signal(SIGTERM, SIG_DFL);
-      if (flight != nullptr) {
-        if (g_run_token.cancelled()) {
-          flight->note_cancel(engine.now(), static_cast<int>(g_run_token.reason()),
-                              engine.events_processed());
-        } else {
-          flight->note_mark(engine.now(), core::FlightMark::kRunEnd,
-                            engine.events_processed());
-        }
-      }
-      result.cancelled = engine.cancel_requested();
-      result.wall_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_begin)
-              .count();
-      result.finished = batch.finished_jobs();
-      result.killed = batch.killed_jobs();
-      result.stuck = batch.queued_jobs() + batch.running_jobs();
-      result.makespan = result.recorder.makespan();
-      result.events_processed = engine.events_processed();
-      result.rebalances = engine.fluid().rebalance_count();
-      result.queue_pushes = engine.queue().pushes();
-      result.queue_pops = engine.queue().pops();
-      result.queue_peak = engine.queue().peak_size();
-      result.activities_touched = engine.fluid().activities_touched();
-      result.activities_started = engine.fluid().activities_started();
-      result.scheduler_invocations = batch.scheduler_invocations();
-      result.scheduler_rounds = batch.scheduler_rounds();
-      result.scheduler_jobs_scanned = batch.scheduler_jobs_scanned();
-      if (result.stuck > 0) stuck_ids = batch.unfinished_job_ids();
-      if (want_validate) {
-        std::printf("validated %llu scheduling points, %llu events: all invariants hold\n",
-                    static_cast<unsigned long long>(checker.scheduling_point_checks()),
-                    static_cast<unsigned long long>(checker.events_checked()));
-      }
-      // Everything from here on is artifact writing, billed to "output".
       ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kOutput);
+      std::filesystem::create_directories(out_dir);
       if (want_trace) {
-        std::filesystem::create_directories(out_dir);
         std::ofstream trace_csv(out_dir + "/trace.csv");
         trace.write_csv(trace_csv);
       }
       if (want_timeseries) {
-        std::filesystem::create_directories(out_dir);
         sampler.save(out_dir + "/timeseries.csv");
         std::printf("wrote state timeline (%zu samples, %llu updates) to %s/timeseries.csv\n",
                     sampler.samples().size(),
                     static_cast<unsigned long long>(sampler.updates()), out_dir.c_str());
       }
       if (!journal_path.empty()) {
-        const std::filesystem::path parent =
-            std::filesystem::path(journal_path).parent_path();
-        if (!parent.empty()) std::filesystem::create_directories(parent);
+        make_parent_dirs(journal_path);
         journal.save(journal_path);
         std::printf("wrote decision journal (%zu records) to %s\n", journal.size(),
                     journal_path.c_str());
       }
-      if (want_telemetry) {
-        auto& registry = telemetry::Registry::global();
-        registry.counter("engine.events").add(result.events_processed);
-        registry.gauge("engine.events_per_second")
-            .set(result.makespan, result.wall_seconds > 0.0
-                                      ? static_cast<double>(result.events_processed) /
-                                            result.wall_seconds
-                                      : 0.0);
-      }
       if (!chrome_path.empty()) {
-        chrome.close_open_slices(engine.now());
-        for (const telemetry::Span& span : telemetry::Registry::global().spans().spans()) {
-          chrome.wall_slice(span.name, span.wall_start_s, span.dur_s, span.items);
-        }
-        const std::filesystem::path parent =
-            std::filesystem::path(chrome_path).parent_path();
-        if (!parent.empty()) std::filesystem::create_directories(parent);
+        make_parent_dirs(chrome_path);
         chrome.write_file(chrome_path);
         std::printf("wrote Chrome trace (%zu events) to %s\n", chrome.event_count(),
                     chrome_path.c_str());
       }
-    }
-
-    std::filesystem::create_directories(out_dir);
-    {
-      ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kOutput);
       std::ofstream jobs_csv(out_dir + "/jobs.csv");
       result.recorder.write_jobs_csv(jobs_csv);
       std::ofstream timeline_csv(out_dir + "/timeline.csv");
@@ -507,9 +456,7 @@ int main(int argc, char** argv) {
     // the write itself is the only work it cannot see.
     if (want_profile) {
       core::record_profile_counters(result, config.scheduler);
-      const std::filesystem::path parent =
-          std::filesystem::path(profile_path).parent_path();
-      if (!parent.empty()) std::filesystem::create_directories(parent);
+      make_parent_dirs(profile_path);
       auto& profiler = stats::profiler::Profiler::global();
       json::write_file(profile_path, profiler.report());
       std::printf("wrote profile (%.3f s window) to %s\n", profiler.window_s(),
@@ -536,12 +483,12 @@ int main(int argc, char** argv) {
       // Name the offenders (first few) so the user can go straight to
       // `elastisim inspect --job` instead of bisecting the workload.
       std::string ids;
-      const std::size_t shown = std::min<std::size_t>(stuck_ids.size(), 5);
+      const std::size_t shown = std::min<std::size_t>(result.stuck_ids.size(), 5);
       for (std::size_t i = 0; i < shown; ++i) {
         if (!ids.empty()) ids += ", ";
-        ids += std::to_string(static_cast<long long>(stuck_ids[i]));
+        ids += std::to_string(static_cast<long long>(result.stuck_ids[i]));
       }
-      if (stuck_ids.size() > shown) ids += ", ...";
+      if (result.stuck_ids.size() > shown) ids += ", ...";
       std::fprintf(stderr,
                    "warning: %zu jobs never completed (check job sizes vs platform): "
                    "job ids %s\n",

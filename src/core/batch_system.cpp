@@ -4,13 +4,7 @@
 #include <cassert>
 #include <cmath>
 
-#include "core/flight_recorder.h"
-#include "core/invariant_checker.h"
-#include "stats/chrome_trace.h"
 #include "stats/profiler.h"
-#include "stats/state_sampler.h"
-#include "stats/telemetry.h"
-#include "util/fmt.h"
 #include "util/log.h"
 
 namespace elastisim::core {
@@ -107,8 +101,7 @@ void BatchSystem::enter_queue(JobId id) {
   Managed& job = managed(id);
   assert(job.state == JobState::kPending);
   recorder_->on_submit(job.job, engine_->now());
-  trace(stats::TraceEvent::kSubmit, id,
-        util::fmt("{} nodes, {}", job.job.requested_nodes, workload::to_string(job.job.type)));
+  notify(stats::JobChange::kSubmitted, job);
   ELSIM_DEBUG("t={} submit job {} ({} nodes, {})", engine_->now(), id,
               job.job.requested_nodes, workload::to_string(job.job.type));
 
@@ -128,17 +121,17 @@ void BatchSystem::enter_queue(JobId id) {
   }
   if (!job.outstanding_deps.empty()) {
     job.state = JobState::kHeld;
-    if (flight_) flight_->note_job_state(engine_->now(), FlightJobState::kHeld, id);
+    notify(stats::JobChange::kHeld, job);
     ++held_;
     ELSIM_DEBUG("t={} job {} held on {} dependencies", engine_->now(), id,
                 job.outstanding_deps.size());
     return;
   }
   job.state = JobState::kQueued;
-  if (flight_) flight_->note_job_state(engine_->now(), FlightJobState::kQueued, id);
+  notify(stats::JobChange::kQueued, job);
   queue_order_.push_back(id);
   arm_timer();
-  arm_sample_timer();
+  arm_tick();
   invoke_scheduler(stats::JournalCause::kSubmit);
 }
 
@@ -157,11 +150,11 @@ void BatchSystem::resolve_dependents(JobId id, bool succeeded) {
     if (child.outstanding_deps.empty()) {
       --held_;
       child.state = JobState::kQueued;
-      if (flight_) flight_->note_job_state(engine_->now(), FlightJobState::kQueued, child_id);
+      notify(stats::JobChange::kQueued, child);
       queue_order_.push_back(child_id);
       ELSIM_DEBUG("t={} job {} released into the queue", engine_->now(), child_id);
       arm_timer();
-      arm_sample_timer();
+      arm_tick();
     }
   }
 }
@@ -174,9 +167,8 @@ void BatchSystem::cancel_job(Managed& job) {
     queue_order_.erase(std::find(queue_order_.begin(), queue_order_.end(), id));
   }
   job.state = JobState::kCancelled;
-  if (flight_) flight_->note_job_state(engine_->now(), FlightJobState::kCancelled, id);
   recorder_->on_cancel(id, engine_->now());
-  trace(stats::TraceEvent::kCancel, id, "dependency failed");
+  notify(stats::JobChange::kCancelled, job);
   ELSIM_INFO("t={} job {} cancelled (dependency failed)", engine_->now(), id);
   ++cancelled_;
   --unfinished_;
@@ -275,11 +267,6 @@ std::vector<platform::NodeId> BatchSystem::take_free_nodes(int count) {
     }
   }
   assert(static_cast<int>(taken.size()) == count);
-  if (telemetry::enabled()) {
-    ensure_telemetry();
-    nodes_allocated_->add(static_cast<std::uint64_t>(count));
-    free_gauge_->set(engine_->now(), static_cast<double>(free_nodes_.size()));
-  }
   return taken;
 }
 
@@ -297,23 +284,11 @@ void BatchSystem::start_job(JobId id, int nodes) {
   queue_order_.erase(std::find(queue_order_.begin(), queue_order_.end(), id));
   job.state = JobState::kRunning;
   ++starts_total_;
-  if (flight_) {
-    flight_->note_job_state(engine_->now(), FlightJobState::kRunning, id,
-                            static_cast<std::uint32_t>(nodes));
-  }
   job.start_time = engine_->now();
   job.nodes = take_free_nodes(nodes);
   running_order_.push_back(id);
   recorder_->on_start(id, engine_->now(), nodes);
-  const std::uint64_t start_seq = trace(stats::TraceEvent::kStart, id,
-                                        util::fmt("{} nodes", nodes));
-  journal_verdict(id, stats::VerdictAction::kStarted, stats::HoldReason::kNone, nodes,
-                  start_seq);
-  if (telemetry::enabled()) {
-    ensure_telemetry();
-    jobs_started_->add();
-  }
-  chrome_occupy(job, job.nodes);
+  notify(stats::JobChange::kStarted, job, job.nodes);
   ELSIM_DEBUG("t={} start job {} on {} nodes", engine_->now(), id, nodes);
 
   if (std::isfinite(job.job.walltime_limit)) {
@@ -325,14 +300,7 @@ void BatchSystem::start_job(JobId id, int nodes) {
       [this, id](int delta) { handle_boundary(id, delta); },
       [this, id] { handle_completion(id); });
   if (config_.failure_policy == FailurePolicy::kRequeueRestart && !job.checkpoint.at_origin()) {
-    trace(stats::TraceEvent::kStart, id,
-          util::fmt("restart from phase {} iter {}", job.checkpoint.phase,
-                    job.checkpoint.iteration));
-    if (chrome_) {
-      chrome_->instant(util::fmt("job {} restarts from checkpoint", id), engine_->now());
-    }
-    if (telemetry::enabled()) checkpoint_restarts_->add();
-    if (sampler_) sampler_->count_checkpoint_restart();
+    notify(stats::JobChange::kRestarted, job);
     job.execution->start_from(job.checkpoint, config_.restart_overhead);
   } else {
     job.execution->start();
@@ -349,12 +317,8 @@ void BatchSystem::set_target(JobId id, int nodes) {
   const int clamped = job.job.clamp_nodes(nodes);
   const int previous_target = job.pending_target;
   job.pending_target = clamped == current ? -1 : clamped;
-  if (journal_ && clamped != current && clamped != previous_target) {
-    journal_verdict(id,
-                    clamped > current ? stats::VerdictAction::kExpandTarget
-                                      : stats::VerdictAction::kShrinkTarget,
-                    stats::HoldReason::kNone, clamped, 0,
-                    util::fmt("{}->{}", current, clamped));
+  if (clamped != current && clamped != previous_target) {
+    notify_resize(stats::ResizeChange::kTarget, job, current, clamped);
   }
   rebuild_views();
 }
@@ -375,10 +339,7 @@ void BatchSystem::handle_boundary(JobId id, int evolving_delta) {
 void BatchSystem::process_boundary(JobId id) {
   Managed& job = managed(id);
   if (job.state != JobState::kAtBoundary) return;  // killed meanwhile
-  if (flight_) {
-    flight_->note_job_state(engine_->now(), FlightJobState::kBoundary, id,
-                            static_cast<std::uint32_t>(job.nodes.size()));
-  }
+  notify(stats::JobChange::kBoundary, job, job.nodes);
 
   if (job.boundary_delta != 0 && job.job.type == workload::JobType::kEvolving) {
     const int current = static_cast<int>(job.nodes.size());
@@ -388,18 +349,8 @@ void BatchSystem::process_boundary(JobId id) {
       const bool granted =
           scheduler_->on_evolving_request(*this, id, desired - current);
       recorder_->on_evolving_request(id, granted);
-      std::string request = util::fmt("{}{} {}", desired - current >= 0 ? "+" : "",
-                                      desired - current, granted ? "granted" : "denied");
-      const std::uint64_t request_seq =
-          trace(stats::TraceEvent::kEvolvingRequest, id, request);
-      journal_verdict(id,
-                      granted ? stats::VerdictAction::kEvolvingGranted
-                              : stats::VerdictAction::kEvolvingDenied,
-                      stats::HoldReason::kNone, desired, request_seq, std::move(request));
-      if (granted) {
-        job.pending_target = desired;
-        if (sampler_) sampler_->count_evolving_grant();
-      }
+      notify_resize(stats::ResizeChange::kEvolving, job, current, desired, {}, granted);
+      if (granted) job.pending_target = desired;
     }
     job.boundary_delta = 0;
   }
@@ -438,13 +389,7 @@ void BatchSystem::apply_resize(Managed& job, int target) {
     for (platform::NodeId node : added) grown.push_back(node);
     job.nodes = grown;
     recorder_->on_resize(id, engine_->now(), target);
-    trace(stats::TraceEvent::kExpand, id, util::fmt("{}->{}", current, target));
-    if (telemetry::enabled()) {
-      ensure_telemetry();
-      expansions_->add();
-    }
-    if (sampler_) sampler_->count_expansion();
-    chrome_occupy(job, added);
+    notify_resize(stats::ResizeChange::kExpanded, job, current, target, added);
     ELSIM_DEBUG("t={} expand job {} {} -> {}", engine_->now(), id, current, target);
     job.execution->resume_with_nodes(std::move(grown), config_.charge_reconfiguration,
                                      nullptr);
@@ -455,18 +400,12 @@ void BatchSystem::apply_resize(Managed& job, int target) {
     ELSIM_DEBUG("t={} shrink job {} {} -> {}", engine_->now(), id, current, target);
     job.execution->resume_with_nodes(
         kept, config_.charge_reconfiguration,
-        [this, id, kept, removed, target] {
+        [this, id, kept, removed, current, target] {
           Managed& shrunk = managed(id);
           shrunk.nodes = kept;
           for (platform::NodeId node : removed) return_node(node);
           recorder_->on_resize(id, engine_->now(), target);
-          trace(stats::TraceEvent::kShrink, id,
-                util::fmt("{}->{}", kept.size() + removed.size(), target));
-          if (telemetry::enabled()) {
-            ensure_telemetry();
-            shrinks_->add();
-          }
-          if (sampler_) sampler_->count_shrink();
+          notify_resize(stats::ResizeChange::kShrunk, shrunk, current, target, removed);
           invoke_scheduler(stats::JournalCause::kShrinkComplete);
         });
   }
@@ -481,11 +420,10 @@ void BatchSystem::handle_completion(JobId id) {
     job.walltime_event = sim::kInvalidEventId;
   }
   job.state = JobState::kFinished;
-  if (flight_) flight_->note_job_state(engine_->now(), FlightJobState::kFinished, id);
-  release_all_nodes(job);
+  const std::vector<platform::NodeId> released = release_all_nodes(job);
   running_order_.erase(std::find(running_order_.begin(), running_order_.end(), id));
   recorder_->on_finish(id, engine_->now(), /*killed=*/false);
-  trace(stats::TraceEvent::kFinish, id);
+  notify(stats::JobChange::kFinished, job, released);
   ++finished_;
   --unfinished_;
   ELSIM_DEBUG("t={} finish job {}", engine_->now(), id);
@@ -500,15 +438,10 @@ void BatchSystem::handle_walltime(JobId id) {
   job.walltime_event = sim::kInvalidEventId;
   job.execution->abort();
   job.state = JobState::kKilled;
-  if (flight_) flight_->note_job_state(engine_->now(), FlightJobState::kKilled, id);
-  release_all_nodes(job);
+  const std::vector<platform::NodeId> released = release_all_nodes(job);
   running_order_.erase(std::find(running_order_.begin(), running_order_.end(), id));
   recorder_->on_finish(id, engine_->now(), /*killed=*/true);
-  std::string cause = util::fmt("walltime limit {}s exceeded", job.job.walltime_limit);
-  const std::uint64_t kill_seq = trace(stats::TraceEvent::kWalltimeKill, id, cause);
-  journal_verdict(id, stats::VerdictAction::kKilled, stats::HoldReason::kNone, 0, kill_seq,
-                  std::move(cause));
-  if (chrome_) chrome_->instant(util::fmt("job {} walltime kill", id), engine_->now());
+  notify(stats::JobChange::kTimedOut, job, released);
   ++killed_;
   --unfinished_;
   resolve_dependents(id, /*succeeded=*/false);
@@ -516,11 +449,6 @@ void BatchSystem::handle_walltime(JobId id) {
 }
 
 void BatchSystem::return_node(platform::NodeId node) {
-  if (chrome_) chrome_->end_node_slice(node, engine_->now());
-  if (telemetry::enabled()) {
-    ensure_telemetry();
-    nodes_released_->add();
-  }
   if (failed_nodes_.count(node)) return;  // stays out until repaired
   if (drain_pending_.erase(node) > 0) {
     drained_nodes_.insert(node);
@@ -528,14 +456,13 @@ void BatchSystem::return_node(platform::NodeId node) {
     return;
   }
   free_nodes_.insert(node);
-  if (telemetry::enabled()) {
-    free_gauge_->set(engine_->now(), static_cast<double>(free_nodes_.size()));
-  }
 }
 
-void BatchSystem::release_all_nodes(Managed& job) {
-  for (platform::NodeId node : job.nodes) return_node(node);
+std::vector<platform::NodeId> BatchSystem::release_all_nodes(Managed& job) {
+  std::vector<platform::NodeId> released = std::move(job.nodes);
   job.nodes.clear();
+  for (platform::NodeId node : released) return_node(node);
+  return released;
 }
 
 // ---------------------------------------------------------------------------
@@ -585,9 +512,7 @@ void BatchSystem::fail_node(platform::NodeId node, double repair_time) {
     drain_on_repair_.insert(node);
   }
   ELSIM_INFO("t={} node {} failed", engine_->now(), node);
-  if (flight_) flight_->note_fault(engine_->now(), FlightFault::kNodeFail, node);
-  trace(stats::TraceEvent::kNodeFail, 0, util::fmt("node {}", node));
-  if (chrome_) chrome_->instant(util::fmt("node {} failed", node), engine_->now());
+  notify_fault(stats::FaultChange::kFailed, node);
   if (free_nodes_.erase(node) > 0) {
     invoke_scheduler(stats::JournalCause::kFailure);  // capacity shrank
     return;
@@ -612,9 +537,7 @@ void BatchSystem::restore_node(platform::NodeId node) {
   if (failed_nodes_.erase(node) == 0) return;
   repair_until_.erase(node);
   ELSIM_INFO("t={} node {} restored", engine_->now(), node);
-  if (flight_) flight_->note_fault(engine_->now(), FlightFault::kNodeRepair, node);
-  trace(stats::TraceEvent::kNodeRestore, 0, util::fmt("node {}", node));
-  if (chrome_) chrome_->instant(util::fmt("node {} restored", node), engine_->now());
+  notify_fault(stats::FaultChange::kRepaired, node);
   if (drain_on_repair_.erase(node) > 0) {
     drained_nodes_.insert(node);
     ELSIM_INFO("t={} node {} repaired into drain", engine_->now(), node);
@@ -637,7 +560,7 @@ void BatchSystem::drain_node(platform::NodeId node, double when, double until) {
 void BatchSystem::start_drain(platform::NodeId node) {
   ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kFault);
   if (drained_nodes_.count(node) || drain_pending_.count(node)) return;
-  if (flight_) flight_->note_fault(engine_->now(), FlightFault::kNodeDrain, node);
+  notify_fault(stats::FaultChange::kDrained, node);
   if (free_nodes_.erase(node) > 0) {
     drained_nodes_.insert(node);
     ELSIM_INFO("t={} node {} drained (was idle)", engine_->now(), node);
@@ -653,22 +576,26 @@ void BatchSystem::undrain_node(platform::NodeId node) {
   if (drain_pending_.erase(node) > 0) return;  // never left service
   if (drain_on_repair_.erase(node) > 0) return;  // still failed; repair frees it
   if (drained_nodes_.erase(node) == 0) return;
-  if (flight_) flight_->note_fault(engine_->now(), FlightFault::kNodeUndrain, node);
+  notify_fault(stats::FaultChange::kUndrained, node);
   free_nodes_.insert(node);
   ELSIM_INFO("t={} node {} back in service", engine_->now(), node);
   invoke_scheduler(stats::JournalCause::kMaintenance);
 }
 
-void BatchSystem::kill_evicted_job(Managed& job, const std::string& reason,
-                                   stats::HoldReason journal_reason) {
+void BatchSystem::kill_evicted_job(Managed& job, platform::NodeId failed_node,
+                                   bool requeue_limit,
+                                   const std::vector<platform::NodeId>& released) {
   const JobId id = job.job.id;
-  ELSIM_INFO("t={} job {} killed ({})", engine_->now(), id, reason);
+  ELSIM_INFO("t={} job {} killed (node {} failed{})", engine_->now(), id, failed_node,
+             requeue_limit ? ", max requeues exceeded" : "");
   job.state = JobState::kKilled;
-  if (flight_) flight_->note_job_state(engine_->now(), FlightJobState::kKilled, id);
   recorder_->on_finish(id, engine_->now(), /*killed=*/true);
-  const std::uint64_t kill_seq = trace(stats::TraceEvent::kWalltimeKill, id, reason);
-  journal_verdict(id, stats::VerdictAction::kKilled, journal_reason, 0, kill_seq, reason);
-  if (chrome_) chrome_->instant(util::fmt("job {} killed: {}", id, reason), engine_->now());
+  if (!observers_.empty()) {
+    observers_.emit(&stats::RunObserver::on_job,
+                    stats::JobEvent{.time = engine_->now(), .change = stats::JobChange::kKilled,
+                                    .job = &job.job, .nodes = released,
+                                    .failed_node = failed_node, .requeue_limit = requeue_limit});
+  }
   ++killed_;
   --unfinished_;
   resolve_dependents(id, /*succeeded=*/false);
@@ -692,50 +619,37 @@ void BatchSystem::evict_job(Managed& job, platform::NodeId failed_node) {
     engine_->cancel(job.walltime_event);
     job.walltime_event = sim::kInvalidEventId;
   }
-  release_all_nodes(job);
+  const std::vector<platform::NodeId> released = release_all_nodes(job);
   job.pending_target = -1;
   job.boundary_delta = 0;
   running_order_.erase(std::find(running_order_.begin(), running_order_.end(), id));
   if (config_.failure_policy == FailurePolicy::kKill) {
     job.execution.reset();
-    kill_evicted_job(job, util::fmt("node {} failed", failed_node),
-                     stats::HoldReason::kNone);
+    kill_evicted_job(job, failed_node, /*requeue_limit=*/false, released);
     return;
   }
   ++job.requeue_count;
   if (config_.max_requeues > 0 && job.requeue_count > config_.max_requeues) {
     job.execution.reset();
-    kill_evicted_job(job,
-                     util::fmt("max requeues exceeded (node {} failed)", failed_node),
-                     stats::HoldReason::kMaxRequeuesReached);
+    kill_evicted_job(job, failed_node, /*requeue_limit=*/true, released);
     return;
   }
   ELSIM_INFO("t={} job {} requeued after node failure ({} node-seconds lost)", now, id,
              lost_node_seconds);
   job.state = JobState::kQueued;
-  if (flight_) {
-    flight_->note_job_state(now, FlightJobState::kRequeued, id,
-                            static_cast<std::uint32_t>(allocation));
-  }
   job.execution.reset();
   job.start_time = -1.0;
   recorder_->on_requeue(id, now, lost_node_seconds, lost_seconds);
-  std::string cause =
-      util::fmt("node {} failed, lost {} node-seconds{}", failed_node, lost_node_seconds,
-                restartable && !job.checkpoint.at_origin()
-                    ? util::fmt(", checkpoint phase {} iter {}", job.checkpoint.phase,
-                                job.checkpoint.iteration)
-                    : std::string());
-  const std::uint64_t requeue_seq = trace(stats::TraceEvent::kRequeue, id, cause);
-  journal_verdict(id, stats::VerdictAction::kRequeued, stats::HoldReason::kNone, 0,
-                  requeue_seq, std::move(cause));
-  if (chrome_) chrome_->instant(util::fmt("job {} requeued", id), now);
-  if (telemetry::enabled()) {
-    ensure_telemetry();
-    jobs_requeued_->add();
-    lost_node_seconds_hist_->record(lost_node_seconds);
+  if (!observers_.empty()) {
+    observers_.emit(&stats::RunObserver::on_job,
+                    stats::JobEvent{.time = now, .change = stats::JobChange::kRequeued,
+                                    .job = &job.job, .nodes = released,
+                                    .failed_node = failed_node,
+                                    .lost_node_seconds = lost_node_seconds,
+                                    .checkpointed = restartable && !job.checkpoint.at_origin(),
+                                    .checkpoint_phase = job.checkpoint.phase,
+                                    .checkpoint_iteration = job.checkpoint.iteration});
   }
-  if (sampler_) sampler_->count_requeue(lost_node_seconds);
   queue_order_.push_back(id);
   ++requeues_;
 }
@@ -751,20 +665,10 @@ void BatchSystem::invoke_scheduler(stats::JournalCause cause) {
     return;
   }
   in_scheduler_ = true;
-  // The begin hook snapshots the queue counts before the journal record is
-  // opened, so the checker can cross-check the committed record against what
-  // the scheduler actually saw.
-  if (checker_) checker_->on_scheduling_point_begin(*this);
-  const bool telemetry_on = telemetry::enabled();
-  double wall_begin = 0.0;
-  if (telemetry_on) {
-    ensure_telemetry();
-    queue_gauge_->set(engine_->now(), static_cast<double>(queue_order_.size()));
-    wall_begin = telemetry::wall_now();
-  }
-  if (journal_) {
-    journal_->begin(engine_->now(), cause, static_cast<int>(queue_order_.size()),
-                    static_cast<int>(running_order_.size()), free_nodes(), total_nodes());
+  const bool observed = !observers_.empty();
+  if (observed) {
+    observers_.emit(&stats::RunObserver::on_point_begin,
+                    stats::SchedulingPoint{.cause = cause, .state = snapshot()});
   }
   int rounds = 0;
   const std::uint64_t starts_before = starts_total_;
@@ -787,48 +691,13 @@ void BatchSystem::invoke_scheduler(stats::JournalCause cause) {
   }
   ++scheduler_invocations_;
   scheduler_rounds_ += static_cast<std::uint64_t>(rounds);
-  if (flight_) {
-    const std::uint64_t started = starts_total_ - starts_before;
-    flight_->note_scheduler_invoke(engine_->now(),
-                                   static_cast<std::uint16_t>(cause),
-                                   static_cast<std::uint32_t>(queue_order_.size()),
-                                   static_cast<std::uint32_t>(rounds),
-                                   static_cast<std::uint32_t>(started));
-    FlightSnapshot snapshot;
-    snapshot.sim_time = engine_->now();
-    snapshot.events = engine_->events_processed();
-    snapshot.pending_events = engine_->pending_events();
-    snapshot.jobs_queued = static_cast<std::uint32_t>(queue_order_.size());
-    snapshot.jobs_running = static_cast<std::uint32_t>(running_order_.size());
-    snapshot.nodes_free = static_cast<std::uint32_t>(free_nodes_.size());
-    snapshot.nodes_failed = static_cast<std::uint32_t>(failed_nodes_.size());
-    snapshot.nodes_drained = static_cast<std::uint32_t>(drained_nodes_.size());
-    snapshot.nodes_total = static_cast<std::uint32_t>(total_nodes());
-    flight_->set_snapshot(snapshot);
-  }
-  {
+  if (observed) {
     ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kSinks);
-    if (journal_) {
-      // Guarantee a verdict for every job left in the queue: schedulers that
-      // never call explain() (custom policies) still yield a non-empty reason.
-      for (JobId id : queue_order_) {
-        if (!journal_->has_held_verdict(id)) {
-          journal_->add({id, stats::VerdictAction::kHeld,
-                         // elsim-lint: allow(hot-alloc) -- journal-gated path; an empty std::string never allocates
-                         stats::HoldReason::kNotConsidered, 0, 0, std::string()});
-        }
-      }
-      journal_->commit();
-    }
-    chrome_counters();
-    if (sampler_) sample_state();
+    observers_.emit(&stats::RunObserver::on_point_end,
+                    stats::SchedulingPoint{.cause = cause, .state = snapshot(), .rounds = rounds,
+                                           .started = starts_total_ - starts_before,
+                                           .queue = queue_order_});
   }
-  if (telemetry_on) {
-    decision_hist_->record(telemetry::wall_now() - wall_begin);
-    invocations_->add();
-    rounds_->add(static_cast<std::uint64_t>(rounds));
-  }
-  if (checker_) checker_->on_scheduling_point_end(*this);
   in_scheduler_ = false;
 }
 
@@ -861,77 +730,57 @@ void BatchSystem::rebuild_views() {
   }
 }
 
-std::uint64_t BatchSystem::trace(stats::TraceEvent event, workload::JobId job,
-                                 std::string detail) {
-  if (!trace_) return 0;
-  return trace_->record(engine_->now(), event, job, std::move(detail));
-}
-
-void BatchSystem::journal_verdict(workload::JobId job, stats::VerdictAction action,
-                                  stats::HoldReason reason, int nodes,
-                                  std::uint64_t trace_seq, std::string detail) {
-  if (!journal_) return;
-  journal_->add({job, action, reason, nodes, trace_seq, std::move(detail)});
-}
-
 void BatchSystem::explain(workload::JobId id, stats::HoldReason reason, std::string detail) {
-  if (!journal_) return;
-  journal_->add({id, stats::VerdictAction::kHeld, reason, 0, 0, std::move(detail)});
+  if (!observers_.empty()) observers_.emit(&stats::RunObserver::on_hold, id, reason, detail);
 }
 
-void BatchSystem::ensure_telemetry() {
-  if (decision_hist_) return;
-  auto& registry = telemetry::Registry::global();
-  decision_hist_ = &registry.histogram("scheduler.decision_seconds");
-  invocations_ = &registry.counter("scheduler.invocations");
-  rounds_ = &registry.counter("scheduler.rounds");
-  queue_gauge_ = &registry.gauge("batch.queue_depth");
-  free_gauge_ = &registry.gauge("cluster.free_nodes");
-  nodes_allocated_ = &registry.counter("cluster.nodes_allocated");
-  nodes_released_ = &registry.counter("cluster.nodes_released");
-  jobs_started_ = &registry.counter("batch.jobs_started");
-  jobs_requeued_ = &registry.counter("batch.requeues");
-  checkpoint_restarts_ = &registry.counter("batch.checkpoint_restarts");
-  lost_node_seconds_hist_ = &registry.histogram("batch.lost_node_seconds");
-  expansions_ = &registry.counter("batch.expansions");
-  shrinks_ = &registry.counter("batch.shrinks");
+stats::Snapshot BatchSystem::snapshot() const {
+  return {.time = engine_->now(),
+          .queued = static_cast<int>(queue_order_.size()),
+          .running = static_cast<int>(running_order_.size()),
+          .free = static_cast<int>(free_nodes_.size()),
+          .failed = static_cast<int>(failed_nodes_.size()),
+          .drained = static_cast<int>(drained_nodes_.size()),
+          .total = static_cast<int>(cluster_->node_count()),
+          .events = engine_->events_processed(),
+          .pending = engine_->pending_events()};
 }
 
-void BatchSystem::chrome_occupy(const Managed& job,
-                                const std::vector<platform::NodeId>& nodes) {
-  if (!chrome_) return;
-  const std::string label =
-      job.job.name.empty() ? util::fmt("job {}", job.job.id) : job.job.name;
-  for (platform::NodeId node : nodes) {
-    chrome_->begin_node_slice(node, job.job.id, label, engine_->now());
-  }
+void BatchSystem::notify(stats::JobChange change, const Managed& job,
+                         std::span<const platform::NodeId> nodes) {
+  if (observers_.empty()) return;
+  observers_.emit(&stats::RunObserver::on_job,
+                  stats::JobEvent{.time = engine_->now(), .change = change, .job = &job.job,
+                                  .nodes = nodes,
+                                  .checkpointed = change == stats::JobChange::kRestarted,
+                                  .checkpoint_phase = job.checkpoint.phase,
+                                  .checkpoint_iteration = job.checkpoint.iteration});
 }
 
-void BatchSystem::chrome_counters() {
-  if (!chrome_) return;
-  const double now = engine_->now();
-  chrome_->counter("queue depth", now, static_cast<double>(queue_order_.size()));
-  chrome_->counter("running jobs", now, static_cast<double>(running_order_.size()));
-  chrome_->counter("free nodes", now, static_cast<double>(free_nodes_.size()));
+void BatchSystem::notify_resize(stats::ResizeChange change, const Managed& job, int from,
+                                int to, std::span<const platform::NodeId> nodes,
+                                bool granted) {
+  if (observers_.empty()) return;
+  observers_.emit(&stats::RunObserver::on_resize,
+                  stats::ResizeEvent{.time = engine_->now(), .change = change, .job = &job.job,
+                                     .from = from, .to = to, .nodes = nodes,
+                                     .granted = granted});
 }
 
-void BatchSystem::sample_state() {
-  sampler_->sample(engine_->now(), static_cast<int>(queue_order_.size()),
-                   static_cast<int>(running_order_.size()),
-                   static_cast<int>(free_nodes_.size()),
-                   static_cast<int>(failed_nodes_.size()),
-                   static_cast<int>(drained_nodes_.size()),
-                   static_cast<int>(cluster_->node_count()));
+void BatchSystem::notify_fault(stats::FaultChange change, platform::NodeId node) {
+  if (observers_.empty()) return;
+  observers_.emit(&stats::RunObserver::on_fault, stats::FaultEvent{engine_->now(), change, node});
 }
 
-void BatchSystem::arm_sample_timer() {
-  if (!sampler_ || sampler_->interval() <= 0.0 || sample_timer_armed_) return;
-  sample_timer_armed_ = true;
-  engine_->schedule_in(sampler_->interval(), [this] {
-    sample_timer_armed_ = false;
-    if (unfinished_ == 0 || !sampler_) return;  // let the simulation drain
-    sample_state();
-    arm_sample_timer();
+void BatchSystem::arm_tick() {
+  const double cadence = observers_.cadence();
+  if (cadence <= 0.0 || tick_armed_) return;
+  tick_armed_ = true;
+  engine_->schedule_in(cadence, [this] {
+    tick_armed_ = false;
+    if (unfinished_ == 0) return;  // let the simulation drain
+    observers_.emit(&stats::RunObserver::on_tick, snapshot());
+    arm_tick();
   });
 }
 

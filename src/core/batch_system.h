@@ -30,25 +30,12 @@
 #include "core/scheduler.h"
 #include "platform/cluster.h"
 #include "sim/engine.h"
-#include "stats/journal.h"
 #include "stats/metrics.h"
-#include "stats/trace.h"
+#include "stats/observer.h"
 #include "workload/job.h"
-
-namespace elastisim::telemetry {
-class ChromeTraceBuilder;
-class Counter;
-class Gauge;
-class Histogram;
-}  // namespace elastisim::telemetry
-
-namespace elastisim::stats {
-class StateSampler;
-}  // namespace elastisim::stats
 
 namespace elastisim::core {
 
-class FlightRecorder;
 class InvariantChecker;
 
 /// How the batch system maps a node-count decision onto concrete nodes.
@@ -111,40 +98,12 @@ class BatchSystem final : public SchedulerContext {
   bool submit(workload::Job job);
   std::size_t submit_all(std::vector<workload::Job> jobs);
 
-  /// Attaches an event trace (not owned; must outlive the batch system).
-  /// Pass nullptr to detach.
-  void set_event_trace(stats::EventTrace* trace) { trace_ = trace; }
-
-  /// Attaches a decision journal (not owned; must outlive the batch system):
-  /// every scheduler invocation commits one record with its cause, a
-  /// queue/cluster snapshot, and a verdict per considered job. Pass nullptr
-  /// to detach; absent, instrumentation costs one branch per site.
-  void set_journal(stats::DecisionJournal* journal) { journal_ = journal; }
-
-  /// Attaches a Chrome trace builder (not owned; must outlive the batch
-  /// system): job lifecycles are rendered as per-node slices, plus counter
-  /// tracks and instant markers. Pass nullptr to detach.
-  void set_chrome_trace(telemetry::ChromeTraceBuilder* chrome) { chrome_ = chrome; }
-
-  /// Attaches a simulation-state sampler (not owned; must outlive the batch
-  /// system): one StateSample per scheduling point, plus the sampler's fixed
-  /// cadence when it has one. Pass nullptr to detach; absent, instrumentation
-  /// costs one branch per scheduling point.
-  void set_state_sampler(stats::StateSampler* sampler) { sampler_ = sampler; }
-
-  /// Attaches a runtime invariant checker (not owned; must outlive the batch
-  /// system): every scheduling point re-validates node-allocation
-  /// conservation, queue/state agreement, and sink monotonicity, throwing
-  /// InvariantViolation on the first breach. Pass nullptr to detach; absent,
-  /// the cost is one branch per scheduling point. See docs/ANALYSIS.md.
-  void set_invariant_checker(InvariantChecker* checker) { checker_ = checker; }
-
-  /// Attaches the flight recorder (not owned; must outlive the batch
-  /// system): job state transitions, fault-injector actions, and one record
-  /// per scheduling point land on the black box, and the recorder's
-  /// queue/cluster snapshot is refreshed at every scheduling point. Pass
-  /// nullptr to detach; absent, each site costs one branch.
-  void set_flight_recorder(FlightRecorder* recorder) { flight_ = recorder; }
+  /// Attaches an observer (not owned; must outlive the batch system) to the
+  /// run's one notification stream: job transitions, resizes, faults, and a
+  /// shared snapshot at the begin and end of every scheduling point (see
+  /// stats/observer.h). With nothing attached each fact costs one branch.
+  void attach(stats::RunObserver& observer) { observers_.attach(observer); }
+  const stats::ObserverList& observers() const { return observers_; }
 
   /// Test-only corruption hook: re-inserts the first node allocated to `job`
   /// into the free pool, deliberately breaking allocation conservation so
@@ -209,7 +168,7 @@ class BatchSystem final : public SchedulerContext {
   double user_usage(const std::string& user) const override;
   void start_job(workload::JobId id, int nodes) override;
   void set_target(workload::JobId id, int nodes) override;
-  bool explaining() const override { return journal_ != nullptr; }
+  bool explaining() const override { return observers_.wants_holds(); }
   void explain(workload::JobId id, stats::HoldReason reason,
                std::string detail = std::string()) override;
 
@@ -258,24 +217,27 @@ class BatchSystem final : public SchedulerContext {
   void cancel_job(Managed& job);
   void fail_node(platform::NodeId node, double repair_time);
   void restore_node(platform::NodeId node);
-  /// Terminal kill shared by the kKill policy and the max_requeues guard.
-  void kill_evicted_job(Managed& job, const std::string& reason,
-                        stats::HoldReason journal_reason);
+  /// Terminal kill shared by the kKill policy and the max_requeues guard
+  /// (`requeue_limit`); `released` are the nodes the eviction gave back.
+  void kill_evicted_job(Managed& job, platform::NodeId failed_node, bool requeue_limit,
+                        const std::vector<platform::NodeId>& released);
   void start_drain(platform::NodeId node);
   void undrain_node(platform::NodeId node);
   /// Returns a node to service after a job releases it, honoring failure
   /// and drain state.
   void return_node(platform::NodeId node);
   /// Evicts the victim of `failed_node`'s failure (requeue or kill per the
-  /// failure policy); the node id is threaded into the trace and journal so
-  /// the requeue cause is attributable.
+  /// failure policy); the node id rides the notification so the requeue
+  /// cause is attributable.
   void evict_job(Managed& job, platform::NodeId failed_node);
   void handle_boundary(workload::JobId id, int evolving_delta);
   void process_boundary(workload::JobId id);
   void apply_resize(Managed& job, int target);
   void handle_completion(workload::JobId id);
   void handle_walltime(workload::JobId id);
-  void release_all_nodes(Managed& job);
+  /// Returns every node of `job` to service and hands them back (for the
+  /// notification that reports the release).
+  std::vector<platform::NodeId> release_all_nodes(Managed& job);
   std::vector<platform::NodeId> take_free_nodes(int count);
 
   /// Runs the scheduler to quiescence; `cause` is what triggered the
@@ -283,50 +245,24 @@ class BatchSystem final : public SchedulerContext {
   void invoke_scheduler(stats::JournalCause cause);
   void rebuild_views();
   void arm_timer();
-  /// Records into the event trace, returning the entry's sequence number so
-  /// journal verdicts can link to it (0 when no trace is attached).
-  std::uint64_t trace(stats::TraceEvent event, workload::JobId job, std::string detail = "");
-  /// Appends a journal verdict when a journal is attached.
-  void journal_verdict(workload::JobId job, stats::VerdictAction action,
-                       stats::HoldReason reason, int nodes, std::uint64_t trace_seq,
-                       std::string detail = "");
-  /// Caches global-registry handles (first call with telemetry enabled).
-  void ensure_telemetry();
-  /// Opens Chrome-trace slices for `job` on `nodes`.
-  void chrome_occupy(const Managed& job, const std::vector<platform::NodeId>& nodes);
-  /// Samples the queue/free/running counter tracks into the Chrome trace.
-  void chrome_counters();
-  /// Records one StateSample of the current queue/node state (sampler_ set).
-  void sample_state();
-  /// Periodic cadence for the state sampler (interval > 0 only).
-  void arm_sample_timer();
+  /// Queue/cluster state now, shared by every observer of one notification.
+  stats::Snapshot snapshot() const;
+  /// Emit a notification when anything observes the run (one branch
+  /// otherwise).
+  void notify(stats::JobChange change, const Managed& job,
+              std::span<const platform::NodeId> nodes = {});
+  void notify_resize(stats::ResizeChange change, const Managed& job, int from, int to,
+                     std::span<const platform::NodeId> nodes = {}, bool granted = false);
+  void notify_fault(stats::FaultChange change, platform::NodeId node);
+  /// Cadence tick for observers that sample on a fixed simulated interval.
+  void arm_tick();
 
   sim::Engine* engine_;
   const platform::Cluster* cluster_;
   std::unique_ptr<Scheduler> scheduler_;
   stats::Recorder* recorder_;
-  stats::EventTrace* trace_ = nullptr;
-  stats::DecisionJournal* journal_ = nullptr;
-  stats::StateSampler* sampler_ = nullptr;
-  telemetry::ChromeTraceBuilder* chrome_ = nullptr;
-  InvariantChecker* checker_ = nullptr;
-  FlightRecorder* flight_ = nullptr;
+  stats::ObserverList observers_;
   BatchConfig config_;
-
-  // Telemetry handles (cached by ensure_telemetry; null while disabled).
-  telemetry::Histogram* decision_hist_ = nullptr;
-  telemetry::Counter* invocations_ = nullptr;
-  telemetry::Counter* rounds_ = nullptr;
-  telemetry::Gauge* queue_gauge_ = nullptr;
-  telemetry::Gauge* free_gauge_ = nullptr;
-  telemetry::Counter* nodes_allocated_ = nullptr;
-  telemetry::Counter* nodes_released_ = nullptr;
-  telemetry::Counter* jobs_started_ = nullptr;
-  telemetry::Counter* jobs_requeued_ = nullptr;
-  telemetry::Counter* checkpoint_restarts_ = nullptr;
-  telemetry::Histogram* lost_node_seconds_hist_ = nullptr;
-  telemetry::Counter* expansions_ = nullptr;
-  telemetry::Counter* shrinks_ = nullptr;
 
   std::unordered_map<workload::JobId, std::unique_ptr<Managed>> jobs_;
   std::unordered_map<workload::JobId, std::vector<workload::JobId>> dependents_;
@@ -362,7 +298,7 @@ class BatchSystem final : public SchedulerContext {
   bool in_scheduler_ = false;
   bool rerun_scheduler_ = false;
   bool timer_armed_ = false;
-  bool sample_timer_armed_ = false;
+  bool tick_armed_ = false;
 };
 
 }  // namespace elastisim::core

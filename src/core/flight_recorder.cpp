@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 
 #include "sim/cancellation.h"
 #include "stats/journal.h"
@@ -132,6 +133,49 @@ void phase_tap_trampoline(void* ctx, stats::profiler::Phase phase, bool enter) {
 std::pair<stats::profiler::detail::PhaseHook, void*>
 FlightRecorder::arm_phase_tap() noexcept {
   return stats::profiler::set_phase_hook(&phase_tap_trampoline, this);
+}
+
+void FlightRecorder::on_run_begin(double time, std::size_t submitted) {
+  note_mark(time, FlightMark::kRunBegin, submitted);
+}
+
+void FlightRecorder::on_run_end(const stats::RunEnd& event) {
+  if (event.cancelled) {
+    note_cancel(event.time, event.cancel_reason, event.events);
+  } else {
+    note_mark(event.time, FlightMark::kRunEnd, event.events);
+  }
+}
+
+void FlightRecorder::on_job(const stats::JobEvent& event) {
+  using stats::JobChange;
+  using S = FlightJobState;
+  // Indexed by JobChange. Submissions and restarts are not states of the
+  // black box; their (unused) slots hold kQueued.
+  constexpr S kState[] = {S::kQueued,   S::kHeld,     S::kQueued, S::kCancelled,
+                          S::kRunning,  S::kQueued,   S::kBoundary, S::kFinished,
+                          S::kKilled,   S::kKilled,   S::kRequeued};
+  static_assert(std::size(kState) == static_cast<std::size_t>(JobChange::kRequeued) + 1);
+  if (event.change == JobChange::kSubmitted || event.change == JobChange::kRestarted) return;
+  note_job_state(event.time, kState[static_cast<std::size_t>(event.change)], event.job->id,
+                 static_cast<std::uint32_t>(event.nodes.size()));
+}
+
+void FlightRecorder::on_fault(const stats::FaultEvent& event) {
+  // FaultChange and FlightFault list the same actions in the same order.
+  static_assert(static_cast<int>(FlightFault::kNodeUndrain) ==
+                static_cast<int>(stats::FaultChange::kUndrained));
+  note_fault(event.time, static_cast<FlightFault>(event.change), event.node);
+}
+
+void FlightRecorder::on_point_end(const stats::SchedulingPoint& point) {
+  const stats::Snapshot& state = point.state;
+  const auto u32 = [](auto value) { return static_cast<std::uint32_t>(value); };
+  note_scheduler_invoke(state.time, static_cast<std::uint16_t>(point.cause), u32(state.queued),
+                        u32(point.rounds), u32(point.started));
+  set_snapshot({state.time, state.events, state.pending, u32(state.queued), u32(state.running),
+                u32(state.free), u32(state.failed), u32(state.drained),
+                u32(state.in_service())});
 }
 
 void FlightRecorder::on_phase(stats::profiler::Phase phase, bool enter) noexcept {

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "json/json.h"
+#include "stats/observer.h"
 #include "stats/profiler.h"
 
 namespace elastisim::core {
@@ -53,8 +54,8 @@ enum class FlightKind : std::uint16_t {
   /// One scheduling point completed; code = JournalCause, a = queue depth
   /// after, b packs (rounds << 32 | jobs started).
   kSchedulerInvoke,
-  /// A job changed state; code = FlightJobState, a = nodes involved,
-  /// b = job id.
+  /// A job changed state; code = FlightJobState, a = nodes involved (the
+  /// allocation, or the nodes given back), b = job id.
   kJobState,
   /// Fault-injector action; code = FlightFault, b = node id.
   kFault,
@@ -132,7 +133,11 @@ struct FlightSnapshot {
   std::uint32_t nodes_total = 0;
 };
 
-class FlightRecorder {
+/// Attached to every run as a stats::RunObserver (run_scenario does it while
+/// enabled()): job transitions, faults, scheduling points and the run's
+/// begin/end land on the ring, and each scheduling point's snapshot becomes
+/// the dump's snapshot.
+class FlightRecorder final : public stats::RunObserver {
  public:
   static constexpr std::size_t kDefaultCapacity = 4096;
   static constexpr int kMaxPhaseDepth = 16;
@@ -202,6 +207,14 @@ class FlightRecorder {
   void note_mark(double sim_time, FlightMark mark, std::uint64_t value) noexcept {
     note(FlightKind::kMark, sim_time, static_cast<std::uint16_t>(mark), 0, value);
   }
+
+  // --- run observer -------------------------------------------------------
+
+  void on_run_begin(double time, std::size_t submitted) override;
+  void on_run_end(const stats::RunEnd& event) override;
+  void on_job(const stats::JobEvent& event) override;
+  void on_fault(const stats::FaultEvent& event) override;
+  void on_point_end(const stats::SchedulingPoint& point) override;
 
   // --- phase tap ----------------------------------------------------------
 

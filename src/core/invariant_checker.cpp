@@ -35,9 +35,11 @@ const char* state_name(int state) {
 
 }  // namespace
 
-void InvariantChecker::attach_engine(sim::Engine& engine) {
+void InvariantChecker::attach(sim::Engine& engine, BatchSystem& batch) {
   engine.set_event_validator(
       [this, &engine](sim::SimTime now) { on_engine_event(engine, now); });
+  batch_ = &batch;
+  batch.attach(*this);
 }
 
 void InvariantChecker::on_engine_event(sim::Engine& engine, double now) {
@@ -53,19 +55,26 @@ void InvariantChecker::on_engine_event(sim::Engine& engine, double now) {
   }
 }
 
-void InvariantChecker::on_scheduling_point_begin(const BatchSystem& batch) {
+void InvariantChecker::on_point_begin(const stats::SchedulingPoint&) {
+  const BatchSystem& batch = *batch_;
+  if (!sinks_found_) {
+    sinks_found_ = true;
+    trace_ = batch.observers().find<stats::EventTrace>();
+    journal_ = batch.observers().find<stats::DecisionJournal>();
+    sampler_ = batch.observers().find<stats::StateSampler>();
+  }
   begin_seen_ = true;
   begin_queued_ = static_cast<int>(batch.queue_order_.size());
   begin_running_ = static_cast<int>(batch.running_order_.size());
   begin_free_ = static_cast<int>(batch.free_nodes_.size());
   begin_total_ = batch.total_nodes();
-  begin_journal_size_ = batch.journal_ ? batch.journal_->size() : 0;
+  begin_journal_size_ = journal_ ? journal_->size() : 0;
 }
 
-void InvariantChecker::on_scheduling_point_end(const BatchSystem& batch) {
+void InvariantChecker::on_point_end(const stats::SchedulingPoint&) {
   ++checks_;
-  check_batch_state(batch);
-  check_sinks(batch);
+  check_batch_state(*batch_);
+  check_sinks(*batch_);
   begin_seen_ = false;
 }
 
@@ -337,8 +346,8 @@ void InvariantChecker::check_batch_state_detailed(const BatchSystem& batch) {
 void InvariantChecker::check_sinks(const BatchSystem& batch) {
   const double now = batch.engine_->now();
 
-  if (batch.trace_ != nullptr) {
-    const auto& entries = batch.trace_->entries();
+  if (trace_ != nullptr) {
+    const auto& entries = trace_->entries();
     for (std::size_t i = last_trace_checked_; i < entries.size(); ++i) {
       const stats::TraceEntry& entry = entries[i];
       if (entry.seq <= last_trace_seq_) {
@@ -355,11 +364,11 @@ void InvariantChecker::check_sinks(const BatchSystem& batch) {
     last_trace_checked_ = entries.size();
   }
 
-  if (batch.journal_ != nullptr && begin_seen_ &&
-      batch.journal_->size() > begin_journal_size_) {
+  if (journal_ != nullptr && begin_seen_ &&
+      journal_->size() > begin_journal_size_) {
     // The record this scheduling point committed must carry the snapshot the
     // scheduler actually saw (captured by the begin hook).
-    const stats::JournalRecord& record = batch.journal_->records()[begin_journal_size_];
+    const stats::JournalRecord& record = journal_->records()[begin_journal_size_];
     if (record.seq <= last_journal_seq_) {
       fail(&batch, now, util::fmt("journal seq not monotonic: seq {} after seq {}",
                                   record.seq, last_journal_seq_));
@@ -377,8 +386,8 @@ void InvariantChecker::check_sinks(const BatchSystem& batch) {
     }
   }
 
-  if (batch.sampler_ != nullptr && !batch.sampler_->samples().empty()) {
-    const stats::StateSample& sample = batch.sampler_->samples().back();
+  if (sampler_ != nullptr && !sampler_->samples().empty()) {
+    const stats::StateSample& sample = sampler_->samples().back();
     const int queued = static_cast<int>(batch.queue_order_.size());
     const int running = static_cast<int>(batch.running_order_.size());
     const int free_nodes = static_cast<int>(batch.free_nodes_.size());
@@ -402,8 +411,8 @@ void InvariantChecker::check_sinks(const BatchSystem& batch) {
 void InvariantChecker::fail(const BatchSystem* batch, double now,
                             const std::string& what) const {
   std::uint64_t seq = 0;
-  if (batch != nullptr && batch->journal_ != nullptr && !batch->journal_->records().empty()) {
-    seq = batch->journal_->records().back().seq;
+  if (batch != nullptr && journal_ != nullptr && !journal_->records().empty()) {
+    seq = journal_->records().back().seq;
   }
   throw InvariantViolation(
       util::fmt("invariant violation at t={}: {} (last journal seq {})", now, what, seq));

@@ -9,11 +9,13 @@
 // this; the InvariantChecker re-verifies the whole state machine in release
 // builds, at every scheduling point and (cheaply) at every engine event.
 //
-// Wire-up: construct one checker per run, call attach_engine() for the
-// per-event clock/fluid checks and BatchSystem::set_invariant_checker() for
-// the scheduling-point checks. A broken invariant throws InvariantViolation
-// with a diagnostic naming the offending job/node and the last committed
-// journal sequence number. Overhead is a few percent (set-walks at
+// Wire-up: construct one checker per run and call attach(engine, batch): it
+// installs the per-event clock/fluid checks on the engine and joins the
+// batch system's observers, last in delivery order, for the scheduling-point
+// checks. The trace, journal and sampler it cross-checks are the ones in the
+// same observer list. A broken invariant throws InvariantViolation with a
+// diagnostic naming the offending job/node and the last committed journal
+// sequence number. Overhead is a few percent (set-walks at
 // scheduling points, one branch per engine event); see docs/ANALYSIS.md.
 #pragma once
 
@@ -22,9 +24,17 @@
 #include <string>
 #include <vector>
 
+#include "stats/observer.h"
+
 namespace elastisim::sim {
 class Engine;
 }  // namespace elastisim::sim
+
+namespace elastisim::stats {
+class DecisionJournal;
+class EventTrace;
+class StateSampler;
+}  // namespace elastisim::stats
 
 namespace elastisim::core {
 
@@ -37,7 +47,7 @@ class InvariantViolation : public std::runtime_error {
   explicit InvariantViolation(const std::string& what) : std::runtime_error(what) {}
 };
 
-class InvariantChecker {
+class InvariantChecker final : public stats::RunObserver {
  public:
   /// `fluid_stride`: run the full fluid-model validation every N engine
   /// events (the per-event hook otherwise only checks clock monotonicity,
@@ -51,16 +61,16 @@ class InvariantChecker {
       : fluid_stride_(fluid_stride == 0 ? 1 : fluid_stride),
         full_state_stride_(full_state_stride == 0 ? 1 : full_state_stride) {}
 
-  /// Installs the per-event validation hook on `engine`. The checker must
-  /// outlive the engine's run.
-  void attach_engine(sim::Engine& engine);
+  /// Installs the per-event validation hook on `engine` and attaches to
+  /// `batch`'s observers. The checker must outlive the run.
+  void attach(sim::Engine& engine, BatchSystem& batch);
 
-  /// BatchSystem call sites (installed via set_invariant_checker): the begin
-  /// hook snapshots the queue counts the scheduler is about to see, the end
-  /// hook re-validates the whole batch state and cross-checks the journal
-  /// record and state sample emitted by this scheduling point.
-  void on_scheduling_point_begin(const BatchSystem& batch);
-  void on_scheduling_point_end(const BatchSystem& batch);
+  Order order() const override { return Order::kLast; }
+  /// Captures the live queue counts the scheduler is about to see.
+  void on_point_begin(const stats::SchedulingPoint& point) override;
+  /// Re-validates the whole batch state and cross-checks the journal record
+  /// and state sample this scheduling point produced.
+  void on_point_end(const stats::SchedulingPoint& point) override;
 
   /// Number of full scheduling-point validations performed.
   std::uint64_t scheduling_point_checks() const { return checks_; }
@@ -83,6 +93,13 @@ class InvariantChecker {
   void check_batch_state_detailed(const BatchSystem& batch);
   void check_sinks(const BatchSystem& batch);
   void on_engine_event(sim::Engine& engine, double now);
+
+  const BatchSystem* batch_ = nullptr;
+  // Sinks in the batch system's observer list, found at the first point.
+  bool sinks_found_ = false;
+  const stats::EventTrace* trace_ = nullptr;
+  const stats::DecisionJournal* journal_ = nullptr;
+  const stats::StateSampler* sampler_ = nullptr;
 
   std::uint32_t fluid_stride_;
   std::uint32_t full_state_stride_;

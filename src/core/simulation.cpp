@@ -11,6 +11,7 @@
 #include "core/invariant_checker.h"
 #include "sim/cancellation.h"
 #include "stats/profiler.h"
+#include "stats/telemetry_sink.h"
 #include "util/fmt.h"
 
 namespace elastisim::core {
@@ -21,21 +22,6 @@ bool validate_env_enabled() {
   const char* env = std::getenv("ELSIM_VALIDATE");
   return env != nullptr && *env != '\0' && std::string_view(env) != "0";
 }
-
-/// Routes this thread's profiler phase transitions into `recorder` for the
-/// lifetime of the scope, restoring whatever hook was installed before (the
-/// caller may hold a longer-lived tap, e.g. the CLI's process-wide one).
-class ScopedPhaseTap {
- public:
-  explicit ScopedPhaseTap(FlightRecorder& recorder)
-      : previous_(recorder.arm_phase_tap()) {}
-  ScopedPhaseTap(const ScopedPhaseTap&) = delete;
-  ScopedPhaseTap& operator=(const ScopedPhaseTap&) = delete;
-  ~ScopedPhaseTap() { stats::profiler::set_phase_hook(previous_.first, previous_.second); }
-
- private:
-  std::pair<stats::profiler::detail::PhaseHook, void*> previous_;
-};
 
 SimulationResult run_impl(const platform::ClusterConfig& platform,
                           std::vector<workload::Job> jobs, const RunConfig& config) {
@@ -48,56 +34,48 @@ SimulationResult run_impl(const platform::ClusterConfig& platform,
   sim::Engine engine;
   platform::Cluster cluster(engine, platform);
   BatchSystem batch(engine, cluster, std::move(scheduler), result.recorder, config.batch);
-  if (config.trace) batch.set_event_trace(config.trace);
-  if (config.journal) batch.set_journal(config.journal);
-  if (config.sampler) batch.set_state_sampler(config.sampler);
+  for (stats::RunObserver* sink : config.sinks) batch.attach(*sink);
+  std::optional<stats::TelemetrySink> telemetry_sink;
+  if (telemetry::enabled()) batch.attach(telemetry_sink.emplace());
   if (config.cancel) engine.set_cancellation(config.cancel);
   std::optional<InvariantChecker> checker;
-  if (config.validate || validate_env_enabled()) {
-    checker.emplace();
-    checker->attach_engine(engine);
-    batch.set_invariant_checker(&*checker);
-  }
+  if (config.validate || validate_env_enabled()) checker.emplace().attach(engine, batch);
   if (config.failures) FaultInjector::apply(batch, *config.failures);
 
   // Always-on black box: this thread's flight recorder rides the engine's
-  // per-event hook, the batch system's transition sites, and the profiler
-  // phase tap for the duration of the run. Purely observational — nothing
-  // feeds back into the simulation, so determinism is untouched.
-  FlightRecorder* flight =
-      FlightRecorder::enabled() ? &FlightRecorder::thread_current() : nullptr;
-  std::optional<ScopedPhaseTap> phase_tap;
-  if (flight != nullptr) {
-    engine.set_event_hook(&FlightRecorder::engine_event_hook, flight);
-    batch.set_flight_recorder(flight);
-    phase_tap.emplace(*flight);
-    flight->set_context("scheduler", config.scheduler);
+  // per-event hook and the batch system's notifications for the duration of
+  // the run (the callers that write postmortems, the CLI and the sweep
+  // runner, also route their profiler phases into it). Purely observational
+  // — nothing feeds back into the simulation, so determinism is untouched.
+  if (FlightRecorder::enabled()) {
+    FlightRecorder& flight = FlightRecorder::thread_current();
+    engine.set_event_hook(&FlightRecorder::engine_event_hook, &flight);
+    batch.attach(flight);
+    flight.set_context("scheduler", config.scheduler);
   }
 
   result.submitted = batch.submit_all(std::move(jobs));
-  if (flight != nullptr) {
-    flight->note_mark(engine.now(), FlightMark::kRunBegin, result.submitted);
-  }
+  batch.observers().emit(&stats::RunObserver::on_run_begin, engine.now(), result.submitted);
 
   const auto wall_begin = std::chrono::steady_clock::now();
   engine.run();
   const auto wall_end = std::chrono::steady_clock::now();
 
-  if (flight != nullptr) {
-    if (config.cancel != nullptr && config.cancel->cancelled()) {
-      flight->note_cancel(engine.now(), static_cast<int>(config.cancel->reason()),
-                          engine.events_processed());
-    } else {
-      flight->note_mark(engine.now(), FlightMark::kRunEnd, engine.events_processed());
-    }
-  }
-
   result.cancelled = engine.cancel_requested();
+  result.wall_seconds = std::chrono::duration<double>(wall_end - wall_begin).count();
+  const int cancel_reason = result.cancelled ? static_cast<int>(config.cancel->reason()) : 0;
+  batch.observers().emit(&stats::RunObserver::on_run_end,
+                         stats::RunEnd{.time = engine.now(),
+                                       .events = engine.events_processed(),
+                                       .cancelled = result.cancelled,
+                                       .cancel_reason = cancel_reason,
+                                       .wall_seconds = result.wall_seconds});
+
   result.finished = batch.finished_jobs();
   result.killed = batch.killed_jobs();
   result.stuck = batch.queued_jobs() + batch.running_jobs();
+  if (result.stuck > 0) result.stuck_ids = batch.unfinished_job_ids();
   result.makespan = result.recorder.makespan();
-  result.wall_seconds = std::chrono::duration<double>(wall_end - wall_begin).count();
   result.events_processed = engine.events_processed();
   result.rebalances = engine.fluid().rebalance_count();
   result.queue_pushes = engine.queue().pushes();
@@ -108,6 +86,10 @@ SimulationResult run_impl(const platform::ClusterConfig& platform,
   result.scheduler_invocations = batch.scheduler_invocations();
   result.scheduler_rounds = batch.scheduler_rounds();
   result.scheduler_jobs_scanned = batch.scheduler_jobs_scanned();
+  if (checker) {
+    result.validated_points = checker->scheduling_point_checks();
+    result.validated_events = checker->events_checked();
+  }
   result.peak_rss_bytes = stats::profiler::peak_rss_bytes();
   return result;
 }

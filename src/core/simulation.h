@@ -1,6 +1,7 @@
 // One-call facade: wire up engine + cluster + batch system + recorder, run a
-// workload to completion, and return the metrics. This is the entry point
-// the examples and benchmark harnesses use.
+// workload to completion, and return the metrics. This is the one run path:
+// the CLI, the sweep runner, the benchmark harnesses and the examples all
+// run through it.
 //
 // Configuration is split along the sharing boundary the sweep orchestrator
 // needs: RunConfig carries only *per-run* state (scheduler choice, sinks,
@@ -33,11 +34,12 @@ struct RunConfig {
   BatchConfig batch;
   /// A make_scheduler() name.
   std::string scheduler = "fcfs";
-  /// Optional sinks attached to the batch system for the run (not owned;
-  /// must outlive the run). All default off.
-  stats::EventTrace* trace = nullptr;
-  stats::DecisionJournal* journal = nullptr;
-  stats::StateSampler* sampler = nullptr;
+  /// Observers attached to the run's batch system (not owned; must outlive
+  /// the run): an EventTrace, DecisionJournal, StateSampler,
+  /// ChromeTraceBuilder, or any other stats::RunObserver. The run adds the
+  /// flight recorder (while FlightRecorder::enabled()), the telemetry
+  /// counters (while telemetry::enabled()) and the invariant checker itself.
+  std::vector<stats::RunObserver*> sinks;
   /// Runs a core::InvariantChecker for the whole run: every scheduling point
   /// and engine event re-validates the state machine, throwing
   /// InvariantViolation on the first breach. Also enabled by setting the
@@ -65,8 +67,10 @@ struct SimulationResult {
   std::size_t finished = 0;
   std::size_t killed = 0;
   /// Jobs still queued or running when the event queue drained (starvation /
-  /// misconfiguration indicator; 0 in a healthy run).
+  /// misconfiguration indicator; 0 in a healthy run), and their ids (queue
+  /// order, then run order).
   std::size_t stuck = 0;
+  std::vector<workload::JobId> stuck_ids;
   double makespan = 0.0;
   /// Host-side cost of the simulation, for the performance experiments.
   double wall_seconds = 0.0;
@@ -87,6 +91,10 @@ struct SimulationResult {
   /// Jobs presented to the scheduler summed over every round — the queue
   /// rescan work the policy actually performed (always counted).
   std::uint64_t scheduler_jobs_scanned = 0;
+  /// Scheduling points and engine events the invariant checker validated
+  /// (both 0 without validation).
+  std::uint64_t validated_points = 0;
+  std::uint64_t validated_events = 0;
   /// Process-wide peak RSS in bytes at the end of the run (monotone across
   /// runs in one process).
   std::uint64_t peak_rss_bytes = 0;
@@ -96,7 +104,8 @@ struct SimulationResult {
 };
 
 /// Runs `jobs` on the configured platform under the configured scheduler.
-/// Throws std::runtime_error for an unknown scheduler name.
+/// Throws std::runtime_error for an unknown scheduler name, before any
+/// observer sees anything.
 SimulationResult run_simulation(const SimulationConfig& config, std::vector<workload::Job> jobs);
 
 /// Shared-input variant for orchestrators: `platform` and `jobs` are parsed

@@ -462,8 +462,7 @@ CellOutcome SweepRunner::run_one(const SweepCell& cell, Slot& slot) {
     SimulationResult result;
     // Route this worker's profiler phases into its recorder for the whole
     // attempt, so a body that dies inside a phase scope (e.g. an injected
-    // crash) leaves the dying phase on the ring. run_impl arms its own
-    // nested tap for real cells and restores this one on exit.
+    // crash) leaves the dying phase on the ring.
     std::pair<stats::profiler::detail::PhaseHook, void*> previous_tap{nullptr, nullptr};
     const bool tapped = FlightRecorder::enabled();
     if (tapped) previous_tap = FlightRecorder::thread_current().arm_phase_tap();

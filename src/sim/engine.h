@@ -14,10 +14,6 @@
 #include "sim/fluid.h"
 #include "sim/time.h"
 
-namespace elastisim::telemetry {
-class Histogram;
-}  // namespace elastisim::telemetry
-
 namespace elastisim::sim {
 
 class Engine {
@@ -97,10 +93,6 @@ class Engine {
   const FluidModel& fluid() const { return *fluid_; }
 
  private:
-  /// step() with per-phase wall-clock timing; taken when telemetry is on.
-  bool step_timed();
-  void flush_dispatch_batch(double wall_end);
-
   SimTime now_ = 0.0;
   EventQueue queue_;
   std::unique_ptr<FluidModel> fluid_;
@@ -109,16 +101,6 @@ class Engine {
   CancellationToken* cancel_ = nullptr;
   EventHook event_hook_ = nullptr;
   void* event_hook_ctx_ = nullptr;
-
-  // Telemetry handles (cached on first timed step; null while disabled).
-  // Dispatch work is additionally grouped into spans of up to kDispatchBatch
-  // events so the Chrome trace's wall-clock track stays a few thousand
-  // slices instead of one per event.
-  static constexpr std::uint32_t kDispatchBatch = 8192;
-  telemetry::Histogram* pop_hist_ = nullptr;
-  telemetry::Histogram* dispatch_hist_ = nullptr;
-  double batch_start_wall_ = -1.0;
-  std::uint32_t batch_events_ = 0;
 };
 
 }  // namespace elastisim::sim

@@ -6,7 +6,6 @@
 
 #include "sim/engine.h"
 #include "stats/profiler.h"
-#include "stats/telemetry.h"
 #include "util/fmt.h"
 #include "util/log.h"
 
@@ -52,7 +51,7 @@ double FluidModel::consumption(ResourceId resource) const {
 }
 
 ActivityId FluidModel::start(ActivitySpec spec, std::function<void()> on_complete) {
-  for (const Demand& demand : spec.demands) {
+  for ([[maybe_unused]] const Demand& demand : spec.demands) {
     assert(demand.resource < resources_.size() && "demand references unknown resource");
     assert(demand.weight > 0.0 && "demand weight must be positive");
   }
@@ -166,10 +165,6 @@ void FluidModel::rebalance() {
   ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kFluidSolve);
   ++rebalance_count_;
   activities_touched_ += order_.size();
-  if (telemetry::enabled() && !rebalance_hist_) {
-    rebalance_hist_ = &telemetry::Registry::global().histogram("fluid.rebalance_seconds");
-  }
-  telemetry::ScopedTimer timer(telemetry::enabled() ? rebalance_hist_ : nullptr);
 
   // Working state for progressive filling, kept in member scratch buffers so
   // steady-state solves do not allocate.

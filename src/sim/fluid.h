@@ -24,10 +24,6 @@
 #include "sim/event_queue.h"
 #include "sim/time.h"
 
-namespace elastisim::telemetry {
-class Histogram;
-}  // namespace elastisim::telemetry
-
 namespace elastisim::sim {
 
 class Engine;
@@ -148,8 +144,6 @@ class FluidModel {
   SimTime last_settle_ = 0.0;
   std::uint64_t rebalance_count_ = 0;
   std::uint64_t activities_touched_ = 0;
-  /// Telemetry sink for rebalance wall times (null while disabled).
-  telemetry::Histogram* rebalance_hist_ = nullptr;
   /// Scratch buffers for rebalance(). The solve runs on every share change,
   /// so its working vectors live here and are reused across calls instead of
   /// being reallocated per solve; rebalance() never recurses, which makes the

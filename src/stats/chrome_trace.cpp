@@ -5,12 +5,13 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "util/fmt.h"
+
 namespace elastisim::telemetry {
 
 namespace {
 
 constexpr int kClusterPid = 1;
-constexpr int kEnginePid = 2;
 
 json::Value metadata(const char* kind, int pid, std::uint32_t tid, std::string name) {
   json::Object event;
@@ -59,9 +60,62 @@ void ChromeTraceBuilder::instant(std::string label, double sim_time) {
   instants_.push_back(Instant{std::move(label), to_us(sim_time)});
 }
 
-void ChromeTraceBuilder::wall_slice(std::string label, double wall_start_s, double dur_s,
-                                    std::uint64_t items) {
-  wall_.push_back(Span{std::move(label), wall_start_s, dur_s, items});
+void ChromeTraceBuilder::occupy(const workload::Job& job,
+                                std::span<const std::uint32_t> nodes, double sim_time) {
+  const std::string label = job.name.empty() ? util::fmt("job {}", job.id) : job.name;
+  for (std::uint32_t node : nodes) begin_node_slice(node, job.id, label, sim_time);
+}
+
+void ChromeTraceBuilder::release(std::span<const std::uint32_t> nodes, double sim_time) {
+  for (std::uint32_t node : nodes) end_node_slice(node, sim_time);
+}
+
+void ChromeTraceBuilder::on_job(const stats::JobEvent& event) {
+  using stats::JobChange;
+  const workload::JobId id = event.job->id;
+  switch (event.change) {
+    case JobChange::kStarted: occupy(*event.job, event.nodes, event.time); break;
+    case JobChange::kRestarted:
+      instant(util::fmt("job {} restarts from checkpoint", id), event.time);
+      break;
+    case JobChange::kFinished: release(event.nodes, event.time); break;
+    case JobChange::kTimedOut:
+      release(event.nodes, event.time);
+      instant(util::fmt("job {} walltime kill", id), event.time);
+      break;
+    case JobChange::kKilled:
+      release(event.nodes, event.time);
+      instant(util::fmt("job {} killed: {}", id, stats::describe(event)), event.time);
+      break;
+    case JobChange::kRequeued:
+      release(event.nodes, event.time);
+      instant(util::fmt("job {} requeued", id), event.time);
+      break;
+    default: break;
+  }
+}
+
+void ChromeTraceBuilder::on_resize(const stats::ResizeEvent& event) {
+  if (event.change == stats::ResizeChange::kExpanded) {
+    occupy(*event.job, event.nodes, event.time);
+  } else if (event.change == stats::ResizeChange::kShrunk) {
+    release(event.nodes, event.time);
+  }
+}
+
+void ChromeTraceBuilder::on_fault(const stats::FaultEvent& event) {
+  if (event.change == stats::FaultChange::kFailed) {
+    instant(util::fmt("node {} failed", event.node), event.time);
+  } else if (event.change == stats::FaultChange::kRepaired) {
+    instant(util::fmt("node {} restored", event.node), event.time);
+  }
+}
+
+void ChromeTraceBuilder::on_point_end(const stats::SchedulingPoint& point) {
+  const stats::Snapshot& state = point.state;
+  counter("queue depth", state.time, static_cast<double>(state.queued));
+  counter("running jobs", state.time, static_cast<double>(state.running));
+  counter("free nodes", state.time, static_cast<double>(state.free));
 }
 
 void ChromeTraceBuilder::close_open_slices(double sim_time) {
@@ -76,7 +130,7 @@ void ChromeTraceBuilder::close_open_slices(double sim_time) {
 }
 
 std::size_t ChromeTraceBuilder::event_count() const {
-  return slices_.size() + open_.size() + counters_.size() + instants_.size() + wall_.size();
+  return slices_.size() + open_.size() + counters_.size() + instants_.size();
 }
 
 json::Value ChromeTraceBuilder::to_json() const {
@@ -89,8 +143,6 @@ json::Value ChromeTraceBuilder::to_json() const {
           metadata("thread_name", kClusterPid, node, "node " + std::to_string(node)));
     }
   }
-  events.push_back(metadata("process_name", kEnginePid, 0, "engine (wall clock)"));
-  events.push_back(metadata("thread_name", kEnginePid, 0, "engine"));
 
   for (const NodeSlice& slice : slices_) {
     json::Object event;
@@ -127,22 +179,6 @@ json::Value ChromeTraceBuilder::to_json() const {
     event["pid"] = kClusterPid;
     event["tid"] = 0;
     event["ts"] = mark.ts_us;
-    events.push_back(json::Value(std::move(event)));
-  }
-
-  for (const Span& span : wall_) {
-    json::Object event;
-    event["name"] = span.name;
-    event["ph"] = "X";
-    event["pid"] = kEnginePid;
-    event["tid"] = 0;
-    event["ts"] = to_us(span.wall_start_s);
-    event["dur"] = to_us(span.dur_s);
-    if (span.items > 0) {
-      json::Object args;
-      args["items"] = static_cast<double>(span.items);
-      event["args"] = std::move(args);
-    }
     events.push_back(json::Value(std::move(event)));
   }
 

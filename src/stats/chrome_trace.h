@@ -1,34 +1,38 @@
 // Chrome trace_event JSON exporter (chrome://tracing / Perfetto).
 //
-// Renders a simulation as two processes in one trace file:
-//   pid 1 "cluster (simulated time)" — one thread per compute node, with a
-//         complete-event slice for every interval a job occupies the node,
-//         counter tracks (queue depth, free nodes, running jobs), and
-//         instant events for failures/kills/requeues. Timestamps are
-//         simulated seconds mapped to trace microseconds.
-//   pid 2 "engine (wall clock)" — wall-clock slices (engine dispatch
-//         batches, CLI phases) fed from a telemetry::SpanLog.
-// The two clocks are unrelated; keeping them in separate processes makes
-// each track internally consistent in the viewer.
+// Renders a simulation in simulated time as one process, pid 1 "cluster
+// (simulated time)": one thread per compute node, with a complete-event
+// slice for every interval a job occupies the node, counter tracks (queue
+// depth, free nodes, running jobs), and instant events for failures, kills,
+// requeues and restarts. Timestamps are simulated seconds mapped to trace
+// microseconds, so the file is a pure function of the run's inputs.
 //
-// The builder is an event collector like stats::EventTrace: the batch system
-// pushes node occupancy transitions as they happen, the CLI appends the
-// wall-clock spans and writes the file at the end of the run.
+// The builder is a RunObserver like stats::EventTrace: it opens and closes
+// node slices from the job and resize notifications, samples the counters
+// from each scheduling point's snapshot, and closes still-open slices when
+// the run ends (attach via RunConfig::sinks or BatchSystem::attach).
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "json/json.h"
-#include "stats/telemetry.h"
+#include "stats/observer.h"
 
 namespace elastisim::telemetry {
 
-class ChromeTraceBuilder {
+class ChromeTraceBuilder final : public stats::RunObserver {
  public:
+  void on_job(const stats::JobEvent& event) override;
+  void on_resize(const stats::ResizeEvent& event) override;
+  void on_fault(const stats::FaultEvent& event) override;
+  void on_point_end(const stats::SchedulingPoint& point) override;
+  void on_run_end(const stats::RunEnd& event) override { close_open_slices(event.time); }
+
   /// Opens a job slice on `node`'s track at simulated time `sim_time`. If a
   /// slice is already open on the node (should not happen), it is closed at
   /// the same instant first.
@@ -46,10 +50,6 @@ class ChromeTraceBuilder {
 
   /// Global instant marker ("node 3 failed", "job 7 walltime kill", ...).
   void instant(std::string label, double sim_time);
-
-  /// Wall-clock slice on the engine track (telemetry::Span shape).
-  void wall_slice(std::string label, double wall_start_s, double dur_s,
-                  std::uint64_t items = 0);
 
   /// Closes every still-open node slice (stuck jobs at the end of a run).
   void close_open_slices(double sim_time);
@@ -86,11 +86,13 @@ class ChromeTraceBuilder {
   };
 
   static double to_us(double seconds) { return seconds * 1e6; }
+  /// Opens `job`'s slice on each of `nodes`.
+  void occupy(const workload::Job& job, std::span<const std::uint32_t> nodes, double sim_time);
+  void release(std::span<const std::uint32_t> nodes, double sim_time);
 
   std::vector<NodeSlice> slices_;
   std::vector<CounterSample> counters_;
   std::vector<Instant> instants_;
-  std::vector<Span> wall_;
   std::unordered_map<std::uint32_t, Open> open_;
   std::unordered_map<std::string, double> last_counter_;
   std::uint32_t max_node_ = 0;

@@ -137,6 +137,57 @@ void DecisionJournal::commit() {
   open_ = false;
 }
 
+void DecisionJournal::on_job(const JobEvent& event) {
+  const workload::JobId id = event.job->id;
+  switch (event.change) {
+    case JobChange::kStarted:
+      add({id, VerdictAction::kStarted, HoldReason::kNone, static_cast<int>(event.nodes.size()),
+           event.trace_seq, std::string()});
+      break;
+    case JobChange::kTimedOut:
+    case JobChange::kKilled:
+      add({id, VerdictAction::kKilled,
+           event.requeue_limit ? HoldReason::kMaxRequeuesReached : HoldReason::kNone, 0,
+           event.trace_seq, describe(event)});
+      break;
+    case JobChange::kRequeued:
+      add({id, VerdictAction::kRequeued, HoldReason::kNone, 0, event.trace_seq,
+           describe(event)});
+      break;
+    default: break;
+  }
+}
+
+void DecisionJournal::on_resize(const ResizeEvent& event) {
+  const workload::JobId id = event.job->id;
+  if (event.change == ResizeChange::kTarget) {
+    add({id, event.to > event.from ? VerdictAction::kExpandTarget : VerdictAction::kShrinkTarget,
+         HoldReason::kNone, event.to, 0, describe(event)});
+  } else if (event.change == ResizeChange::kEvolving) {
+    add({id, event.granted ? VerdictAction::kEvolvingGranted : VerdictAction::kEvolvingDenied,
+         HoldReason::kNone, event.to, event.trace_seq, describe(event)});
+  }
+}
+
+void DecisionJournal::on_hold(workload::JobId job, HoldReason reason,
+                              const std::string& detail) {
+  add({job, VerdictAction::kHeld, reason, 0, 0, detail});
+}
+
+void DecisionJournal::on_point_begin(const SchedulingPoint& point) {
+  const Snapshot& state = point.state;
+  begin(state.time, point.cause, state.queued, state.running, state.free, state.in_service());
+}
+
+void DecisionJournal::on_point_end(const SchedulingPoint& point) {
+  for (workload::JobId id : point.queue) {
+    if (!has_held_verdict(id)) {
+      add({id, VerdictAction::kHeld, HoldReason::kNotConsidered, 0, 0, std::string()});
+    }
+  }
+  commit();
+}
+
 namespace {
 
 json::Value record_to_json(const JournalRecord& record) {

@@ -13,8 +13,9 @@
 //
 // The journal serializes as JSONL (one record per line, docs/FORMATS.md) and
 // round-trips through read_jsonl(); `elastisim inspect` builds job timelines
-// and run diffs on top. Attached to a BatchSystem via set_journal(); costs
-// one branch per instrumentation site when absent, like the event trace.
+// and run diffs on top. A RunObserver: it builds its records from the
+// scheduling-point, job and resize notifications of the run it is attached
+// to (RunConfig::sinks or BatchSystem::attach).
 #pragma once
 
 #include <cstdint>
@@ -24,23 +25,10 @@
 #include <string_view>
 #include <vector>
 
+#include "stats/observer.h"
 #include "workload/job.h"
 
 namespace elastisim::stats {
-
-/// What triggered the scheduling point.
-enum class JournalCause {
-  kSubmit,
-  kFinish,
-  kWalltime,
-  kBoundary,
-  kShrinkComplete,
-  kFailure,
-  kRepair,
-  kMaintenance,
-  kTimer,
-  kCancel,
-};
 
 /// What the scheduling point decided about one job.
 enum class VerdictAction {
@@ -52,28 +40,6 @@ enum class VerdictAction {
   kEvolvingDenied,
   kRequeued,
   kKilled,
-};
-
-/// Machine-readable reason a job was held (VerdictAction::kHeld only).
-enum class HoldReason {
-  kNone,
-  /// Not enough free nodes for the job's (minimum) size right now.
-  kInsufficientNodes,
-  /// A strictly ordered policy (FCFS) never looks past its blocked head.
-  kQueuedBehindHead,
-  /// Starting the job would delay a reservation held for a blocked leader.
-  kBlockedByReservation,
-  /// The job fits the spare nodes or the time window before the
-  /// reservation's shadow time, but not both.
-  kBackfillWindowTooSmall,
-  /// Conservative backfilling: no hole in the reservation profile is both
-  /// wide enough and long enough for the job's walltime before now.
-  kWalltimeExceedsHole,
-  /// The max_requeues guard converted a further eviction into a kill.
-  kMaxRequeuesReached,
-  /// Fallback stamped by the batch system for queued jobs the scheduler gave
-  /// no verdict (e.g. a custom scheduler without explain() calls).
-  kNotConsidered,
 };
 
 std::string to_string(JournalCause cause);
@@ -126,8 +92,18 @@ struct JournalRecord {
 ///     verdict for the same job (later passes refine the reason), and a
 ///     non-held verdict erases any held verdict for that job (the job
 ///     started after all in a later scheduler round).
-class DecisionJournal {
+class DecisionJournal final : public RunObserver {
  public:
+  bool wants_holds() const override { return true; }
+  void on_job(const JobEvent& event) override;
+  void on_resize(const ResizeEvent& event) override;
+  void on_hold(workload::JobId job, HoldReason reason, const std::string& detail) override;
+  /// Opens the point's record with the snapshot the scheduler saw.
+  void on_point_begin(const SchedulingPoint& point) override;
+  /// Gives every job left in the queue a verdict (kNotConsidered when the
+  /// scheduler explained nothing) and commits the record.
+  void on_point_end(const SchedulingPoint& point) override;
+
   void begin(double time, JournalCause cause, int queued, int running, int free_nodes,
              int total_nodes);
   void add(JournalVerdict verdict);

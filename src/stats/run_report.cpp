@@ -13,6 +13,7 @@
 
 #include "json/json.h"
 #include "stats/journal.h"
+#include "stats/report_format.h"
 #include "stats/state_sampler.h"
 #include "util/csv.h"
 #include "util/fmt.h"
@@ -155,28 +156,8 @@ std::size_t count_failure_events(const std::string& path) {
 // Formatting helpers
 // --------------------------------------------------------------------------
 
-std::string html_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      case '\'': out += "&#39;"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-/// Fixed two-decimal coordinate (SVG paths stay compact and deterministic).
-std::string xy(double v) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.2f", v);
-  return buffer;
-}
+using report_format::html_escape;
+using report_format::xy;
 
 /// Human-readable simulated-time label for axis ticks.
 std::string time_label(double seconds) {

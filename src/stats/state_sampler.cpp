@@ -32,6 +32,25 @@ void StateSampler::sample(double time, int queued, int running, int free_nodes,
   record(s);
 }
 
+void StateSampler::on_job(const JobEvent& event) {
+  if (event.change == JobChange::kRestarted) {
+    count_checkpoint_restart();
+  } else if (event.change == JobChange::kRequeued) {
+    count_requeue(event.lost_node_seconds);
+  }
+}
+
+void StateSampler::on_resize(const ResizeEvent& event) {
+  switch (event.change) {
+    case ResizeChange::kExpanded: count_expansion(); break;
+    case ResizeChange::kShrunk: count_shrink(); break;
+    case ResizeChange::kEvolving:
+      if (event.granted) count_evolving_grant();
+      break;
+    case ResizeChange::kTarget: break;
+  }
+}
+
 void StateSampler::record(const StateSample& sample) {
   // Same-instant scheduling points collapse into one sample (last wins), so
   // the series stays a step function with unique timestamps.

@@ -3,19 +3,19 @@
 // (utilization curves, queue depth, down-node windows) and the data source
 // for `elastisim report`.
 //
-// Where telemetry answers "where does the wall-clock go" and the decision
+// Where the profiler answers "where does the wall-clock go" and the decision
 // journal answers "why did the scheduler do that", the sampler answers "what
-// did the cluster look like at time t". The batch system records one
-// StateSample at every scheduling point (and, optionally, on a fixed
+// did the cluster look like at time t". As a RunObserver it samples the
+// shared snapshot at every scheduling point (and, optionally, on a fixed
 // simulated-time cadence); each sample carries the instantaneous queue and
-// node occupancy plus cumulative reconfiguration/resilience tallies.
+// node occupancy plus cumulative reconfiguration/resilience tallies counted
+// from the resize, requeue and restart notifications.
 //
 // The timeline is bounded by the same stride-doubling thinning as
 // telemetry::Gauge: when kMaxSamples is reached, every other retained sample
 // is dropped and the recording stride doubles, so arbitrarily long runs keep
 // an evenly thinned timeline whose final sample is always the most recent
-// observation. Attached to a BatchSystem via set_state_sampler(); costs one
-// branch per scheduling point when absent, like the trace and the journal.
+// observation. Attach it through RunConfig::sinks or BatchSystem::attach.
 // Serialized as <out-dir>/timeseries.csv (docs/FORMATS.md); byte-identical
 // across runs with identical inputs.
 #pragma once
@@ -24,6 +24,8 @@
 #include <iosfwd>
 #include <string>
 #include <vector>
+
+#include "stats/observer.h"
 
 namespace elastisim::stats {
 
@@ -49,13 +51,19 @@ struct StateSample {
   bool operator==(const StateSample&) const = default;
 };
 
-class StateSampler {
+class StateSampler final : public RunObserver {
  public:
   /// `interval` > 0 additionally samples every `interval` simulated seconds
   /// (the batch system arms the timer); 0 = scheduling points only.
   explicit StateSampler(double interval = 0.0) : interval_(interval) {}
 
   double interval() const { return interval_; }
+
+  double cadence() const override { return interval_; }
+  void on_job(const JobEvent& event) override;
+  void on_resize(const ResizeEvent& event) override;
+  void on_point_end(const SchedulingPoint& point) override { sample(point.state); }
+  void on_tick(const Snapshot& state) override { sample(state); }
 
   // --- Cumulative tallies (batch system call sites) ------------------------
   void count_expansion() { ++expansions_; }
@@ -74,6 +82,10 @@ class StateSampler {
   /// a clean step function.
   void sample(double time, int queued, int running, int free_nodes, int failed,
               int drained, int total);
+  void sample(const Snapshot& state) {
+    sample(state.time, state.queued, state.running, state.free, state.failed, state.drained,
+           state.total);
+  }
 
   const std::vector<StateSample>& samples() const { return samples_; }
   /// Observations offered to the timeline (same-time replacements excluded);

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <vector>
 
+#include "stats/report_format.h"
 #include "util/fmt.h"
 
 namespace elastisim::stats {
@@ -15,35 +15,12 @@ namespace elastisim::stats {
 namespace {
 
 // --------------------------------------------------------------------------
-// Formatting helpers (the run-report idiom: fixed-precision strings keep the
-// HTML deterministic; everything user-controlled is escaped)
+// Formatting helpers
 // --------------------------------------------------------------------------
 
-std::string html_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      case '\'': out += "&#39;"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-/// Fixed-precision number (deterministic, compact).
-std::string num(double v, int precision = 2) {
-  char buffer[48];
-  std::snprintf(buffer, sizeof(buffer), "%.*f", precision, v);
-  return buffer;
-}
-
-/// Fixed two-decimal SVG coordinate.
-std::string xy(double v) { return num(v, 2); }
+using report_format::html_escape;
+using report_format::num;
+using report_format::xy;
 
 /// "12.34 ± 1.20" seed-variance band cell.
 std::string mean_band(const json::Value& dist, int precision = 2) {

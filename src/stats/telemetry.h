@@ -1,13 +1,14 @@
 // Telemetry: named counters, gauges with sampled timelines, log-bucketed
 // histograms, RAII wall-clock timers, and a span log for trace export.
 //
-// The registry answers "where does the wall-clock go and how do simulator
-// internals evolve during a run" — the companion to the Recorder's
-// end-of-run aggregates. Collection follows the logger's pattern: a
-// process-wide enabled flag, off by default, and instrumented hot paths pay
-// only a branch when it is off. Handles returned by the registry are stable
-// until clear(); instrumented components cache them, so clear the global
-// registry only between simulations, never during one.
+// The registry answers "how do simulator internals evolve during a run" —
+// the companion to the Recorder's end-of-run aggregates; the batch-system
+// metrics come from a stats::TelemetrySink observer, and the profiler owns
+// the simulator's wall-clock phases. Collection follows the logger's
+// pattern: a process-wide enabled flag, off by default. Handles returned by
+// the registry are stable until clear(); instrumented components cache
+// them, so clear the global registry only between simulations, never during
+// one.
 //
 // All durations are wall-clock seconds (std::chrono::steady_clock); gauge
 // sample timestamps are simulation seconds. The simulator is single-threaded
@@ -141,8 +142,8 @@ class ScopedTimer {
   double start_ = 0.0;
 };
 
-/// One named wall-clock slice (e.g. a batch of engine dispatches or a CLI
-/// phase); rendered as the wall-clock track of the Chrome trace.
+/// One named wall-clock slice (e.g. one bench::run simulation); telemetry.json
+/// reports how many were recorded and dropped.
 struct Span {
   std::string name;
   double wall_start_s;

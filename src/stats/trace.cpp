@@ -1,8 +1,11 @@
 #include "stats/trace.h"
 
+#include <iterator>
+#include <optional>
 #include <ostream>
 
 #include "util/csv.h"
+#include "util/fmt.h"
 
 namespace elastisim::stats {
 
@@ -28,6 +31,35 @@ std::uint64_t EventTrace::record(double time, TraceEvent event, workload::JobId 
   const std::uint64_t seq = next_seq_++;
   entries_.push_back(TraceEntry{seq, time, event, job, std::move(detail)});
   return seq;
+}
+
+void EventTrace::on_job(const JobEvent& event) {
+  // Indexed by JobChange; holds, queue entries and boundaries are not traced.
+  constexpr std::optional<TraceEvent> kKind[] = {
+      TraceEvent::kSubmit, std::nullopt,        std::nullopt,           TraceEvent::kCancel,
+      TraceEvent::kStart,  TraceEvent::kStart,  std::nullopt,           TraceEvent::kFinish,
+      TraceEvent::kWalltimeKill, TraceEvent::kWalltimeKill, TraceEvent::kRequeue};
+  static_assert(std::size(kKind) == static_cast<std::size_t>(JobChange::kRequeued) + 1);
+  if (const auto kind = kKind[static_cast<std::size_t>(event.change)]) {
+    event.trace_seq = record(event.time, *kind, event.job->id, describe(event));
+  }
+}
+
+void EventTrace::on_resize(const ResizeEvent& event) {
+  // Indexed by ResizeChange; target changes live in the journal only.
+  constexpr std::optional<TraceEvent> kKind[] = {std::nullopt, TraceEvent::kEvolvingRequest,
+                                                 TraceEvent::kExpand, TraceEvent::kShrink};
+  if (const auto kind = kKind[static_cast<std::size_t>(event.change)]) {
+    event.trace_seq = record(event.time, *kind, event.job->id, describe(event));
+  }
+}
+
+void EventTrace::on_fault(const FaultEvent& event) {
+  if (event.change == FaultChange::kFailed) {
+    record(event.time, TraceEvent::kNodeFail, 0, util::fmt("node {}", event.node));
+  } else if (event.change == FaultChange::kRepaired) {
+    record(event.time, TraceEvent::kNodeRestore, 0, util::fmt("node {}", event.node));
+  }
 }
 
 std::vector<TraceEntry> EventTrace::filtered(TraceEvent event) const {

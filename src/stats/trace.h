@@ -3,8 +3,9 @@
 // Where the Recorder keeps aggregated per-job records, the EventTrace keeps
 // the raw sequence of batch-system events — the artifact you diff when two
 // runs diverge, feed to external visualizers, or grep while debugging a
-// scheduling policy. Attached to a BatchSystem via set_event_trace(); has no
-// cost when absent.
+// scheduling policy. A RunObserver delivered first in the fan-out, so the
+// sequence number of each entry rides the notification to the decision
+// journal; attach it through RunConfig::sinks or BatchSystem::attach.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "stats/observer.h"
 #include "workload/job.h"
 
 namespace elastisim::stats {
@@ -46,8 +48,13 @@ struct TraceEntry {
   std::string detail;
 };
 
-class EventTrace {
+class EventTrace final : public RunObserver {
  public:
+  Order order() const override { return Order::kFirst; }
+  void on_job(const JobEvent& event) override;
+  void on_resize(const ResizeEvent& event) override;
+  void on_fault(const FaultEvent& event) override;
+
   /// Appends an entry and returns its sequence number.
   std::uint64_t record(double time, TraceEvent event, workload::JobId job,
                        std::string detail = "");

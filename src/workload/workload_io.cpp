@@ -182,7 +182,7 @@ json::Value job_to_json(const Job& job) {
   if (job.memory_bytes_per_node > 0.0) out["memory_per_node"] = job.memory_bytes_per_node;
   if (!job.dependencies.empty()) {
     json::Array deps;
-    for (JobId dep : job.dependencies) deps.push_back(static_cast<std::int64_t>(dep));
+    for (JobId dep : job.dependencies) deps.emplace_back(static_cast<std::int64_t>(dep));
     out["dependencies"] = json::Value(std::move(deps));
   }
   json::Object app;

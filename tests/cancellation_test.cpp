@@ -70,7 +70,9 @@ TEST(CancellationTokenTest, ConcurrentCancelHasExactlyOneWinner) {
     // value as the settled one — i.e. the reason never changed after the
     // first successful CAS, so threads with a different reason lost.
     for (int t = 0; t < kThreads; ++t) {
-      if (won[t] == 1) EXPECT_EQ(reasons[t % 3], settled);
+      if (won[t] == 1) {
+        EXPECT_EQ(reasons[t % 3], settled);
+      }
     }
     // At least one racer's reason is the settled one (3 distinct reasons
     // across 8 threads, so the winner is among them).

@@ -7,6 +7,7 @@
 #include "core/batch_system.h"
 #include "core/scheduler.h"
 #include "stats/chrome_trace.h"
+#include "stats/telemetry.h"
 #include "test_support.h"
 
 namespace elastisim::telemetry {
@@ -98,26 +99,20 @@ TEST(ChromeTrace, CountersDedupAndEmitPerName) {
   EXPECT_DOUBLE_EQ(args->member_or("value", -1.0), 4.0);
 }
 
-TEST(ChromeTrace, InstantsAndWallSlicesLandOnTheirTracks) {
+TEST(ChromeTrace, InstantsLandOnTheClusterTrack) {
   ChromeTraceBuilder builder;
   builder.instant("node 2 failed", 30.0);
-  builder.wall_slice("engine.dispatch", 0.25, 0.5, 1234);
 
   ParsedTrace trace(builder);
   const json::Value* instant = trace.first_named("node 2 failed");
   ASSERT_NE(instant, nullptr);
   EXPECT_EQ(instant->member_or("ph", ""), "i");
   EXPECT_EQ(instant->member_or("pid", std::int64_t{0}), 1);
-
-  const json::Value* wall = trace.first_named("engine.dispatch");
-  ASSERT_NE(wall, nullptr);
-  EXPECT_EQ(wall->member_or("ph", ""), "X");
-  EXPECT_EQ(wall->member_or("pid", std::int64_t{0}), 2);
-  EXPECT_DOUBLE_EQ(wall->member_or("ts", 0.0), 0.25 * 1e6);
-  EXPECT_DOUBLE_EQ(wall->member_or("dur", 0.0), 0.5 * 1e6);
-  const json::Value* args = wall->find("args");
-  ASSERT_NE(args, nullptr);
-  EXPECT_EQ(args->member_or("items", std::int64_t{0}), 1234);
+  EXPECT_DOUBLE_EQ(instant->member_or("ts", 0.0), 30.0 * 1e6);
+  // The trace is simulated time only: every event sits on pid 1.
+  for (const json::Value& event : *trace.events) {
+    EXPECT_EQ(event.member_or("pid", std::int64_t{0}), 1);
+  }
 }
 
 TEST(ChromeTrace, MetadataNamesProcessesAndNodeTracks) {
@@ -125,8 +120,7 @@ TEST(ChromeTrace, MetadataNamesProcessesAndNodeTracks) {
   builder.begin_node_slice(2, 1, "j", 0.0);
   builder.end_node_slice(2, 1.0);
   ParsedTrace trace(builder);
-  // process_name for both pids; thread_name for node tracks 0..2 plus the
-  // engine track.
+  // One process_name (the cluster); thread_name for node tracks 0..2.
   std::size_t process_names = 0;
   std::size_t thread_names = 0;
   for (const json::Value& event : *trace.events) {
@@ -134,8 +128,8 @@ TEST(ChromeTrace, MetadataNamesProcessesAndNodeTracks) {
     if (event.member_or("name", "") == "process_name") ++process_names;
     if (event.member_or("name", "") == "thread_name") ++thread_names;
   }
-  EXPECT_EQ(process_names, 2u);
-  EXPECT_EQ(thread_names, 4u);
+  EXPECT_EQ(process_names, 1u);
+  EXPECT_EQ(thread_names, 3u);
   EXPECT_EQ(trace.root.member_or("displayTimeUnit", ""), "ms");
 }
 
@@ -149,7 +143,7 @@ TEST(ChromeTrace, BatchRunProducesCoherentTrace) {
     platform::Cluster cluster(engine, tiny_platform(4));
     BatchSystem batch(engine, cluster, make_scheduler("easy"), recorder);
     ChromeTraceBuilder builder;
-    batch.set_chrome_trace(&builder);
+    batch.attach(builder);
     for (int i = 1; i <= 5; ++i) {
       batch.submit(rigid_job(i, 2, 10.0, static_cast<double>(i)));
     }

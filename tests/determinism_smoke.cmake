@@ -2,9 +2,10 @@
 #   cmake -DELASTISIM=<binary> -DPLATFORM=<json> -DWORKLOAD=<json>
 #         -DOUT_DIR=<dir> -P determinism_smoke.cmake
 # Runs the simulator with identical inputs and every sink enabled
-# (--trace --timeseries --journal), under --validate so the InvariantChecker
-# is exercised end to end, and asserts that jobs.csv, trace.csv,
-# timeseries.csv, and the journal JSONL are byte-identical across the runs —
+# (--trace --timeseries --journal --chrome-trace), under --validate so the
+# InvariantChecker is exercised end to end, and asserts that jobs.csv,
+# trace.csv, timeseries.csv, the journal JSONL and the Chrome trace (simulated
+# time only) are byte-identical across the runs —
 # the determinism contract docs/ANALYSIS.md documents. Runs c and d add
 # --profile: the self-profiler must be an observer (all four sinks stay
 # byte-identical to the non-profiled runs), and profile.json's key sequence
@@ -28,7 +29,8 @@ foreach(run IN ITEMS a b c d)
   execute_process(
     COMMAND ${ELASTISIM} --platform ${PLATFORM} --workload ${WORKLOAD}
             --out-dir ${run_dir} --trace --timeseries
-            --journal ${run_dir}/journal.jsonl --validate ${profile_args}
+            --journal ${run_dir}/journal.jsonl --chrome-trace ${run_dir}/chrome_trace.json
+            --validate ${profile_args}
     RESULT_VARIABLE exit_code
     OUTPUT_VARIABLE stdout_text
     ERROR_VARIABLE stderr_text)
@@ -46,7 +48,7 @@ endforeach()
 # Sinks must be byte-identical between same-seed runs (a vs b) AND between
 # non-profiled and profiled runs (a vs c): --profile observes, never perturbs.
 foreach(other IN ITEMS b c)
-  foreach(sink IN ITEMS jobs.csv trace.csv timeseries.csv journal.jsonl)
+  foreach(sink IN ITEMS jobs.csv trace.csv timeseries.csv journal.jsonl chrome_trace.json)
     set(file_a "${OUT_DIR}/run_a/${sink}")
     set(file_b "${OUT_DIR}/run_${other}/${sink}")
     if(NOT EXISTS ${file_a})

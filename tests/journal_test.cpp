@@ -188,7 +188,7 @@ struct Harness {
                    BatchConfig config = {})
       : cluster(engine, tiny_platform(nodes)),
         batch(engine, cluster, make_scheduler(scheduler), recorder, config) {
-    batch.set_journal(&journal);
+    batch.attach(journal);
   }
 
   /// The last held reason recorded for `job`, or kNone.
@@ -397,7 +397,7 @@ TEST(SchedulerReasons, FallbackStampsNotConsidered) {
   DecisionJournal journal;
   platform::Cluster cluster(engine, tiny_platform(2));
   BatchSystem batch(engine, cluster, std::make_unique<DoNothingScheduler>(), recorder);
-  batch.set_journal(&journal);
+  batch.attach(journal);
   batch.submit(rigid_job(1, 1, 5.0));
   engine.run();
   ASSERT_FALSE(journal.empty());

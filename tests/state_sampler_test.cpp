@@ -132,7 +132,7 @@ TEST(StateSampler, RecordsBatchSystemRunEndToEnd) {
   Recorder recorder;
   core::BatchSystem batch(engine, cluster, core::make_scheduler("fcfs"), recorder, {});
   StateSampler sampler;
-  batch.set_state_sampler(&sampler);
+  batch.attach(sampler);
   batch.submit_all({test::rigid_job(1, 2, 10.0), test::rigid_job(2, 2, 10.0)});
   engine.run();
   ASSERT_EQ(batch.finished_jobs(), 2u);
@@ -162,7 +162,7 @@ TEST(StateSampler, FixedCadenceAddsSamplesBetweenSchedulingPoints) {
     Recorder recorder;
     core::BatchSystem batch(engine, cluster, core::make_scheduler("fcfs"), recorder, {});
     StateSampler sampler(interval);
-    batch.set_state_sampler(&sampler);
+    batch.attach(sampler);
     batch.submit_all({test::rigid_job(1, 2, 100.0)});
     engine.run();
     return sampler.samples().size();

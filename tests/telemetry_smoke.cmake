@@ -1,9 +1,12 @@
 # End-to-end telemetry smoke test, run as a CTest script:
 #   cmake -DELASTISIM=<binary> -DPLATFORM=<json> -DWORKLOAD=<json>
 #         -DOUT_DIR=<dir> -P telemetry_smoke.cmake
-# Runs the simulator with --telemetry --chrome-trace and validates that both
-# emitted files are well-formed JSON with the documented top-level members
-# (docs/OBSERVABILITY.md).
+# Runs the simulator with --telemetry --chrome-trace --profile and validates
+# that the emitted telemetry.json and Chrome trace are well-formed JSON with
+# the documented top-level members (docs/OBSERVABILITY.md), that the
+# scheduler counters agree with the profile's "scheduler" phase (which owns
+# the scheduler's wall time), and that the Chrome trace is simulated time
+# only.
 cmake_minimum_required(VERSION 3.19)  # string(JSON ...)
 
 foreach(var ELASTISIM PLATFORM WORKLOAD OUT_DIR)
@@ -13,9 +16,11 @@ foreach(var ELASTISIM PLATFORM WORKLOAD OUT_DIR)
 endforeach()
 
 set(trace_file "${OUT_DIR}/chrome_trace.json")
+set(profile_file "${OUT_DIR}/profile.json")
 execute_process(
   COMMAND ${ELASTISIM} --platform ${PLATFORM} --workload ${WORKLOAD}
           --out-dir ${OUT_DIR} --telemetry --chrome-trace ${trace_file}
+          --profile ${profile_file}
   RESULT_VARIABLE exit_code
   OUTPUT_VARIABLE stdout_text
   ERROR_VARIABLE stderr_text)
@@ -45,14 +50,33 @@ endif()
 if(engine_events LESS_EQUAL 0)
   message(FATAL_ERROR "telemetry_smoke: engine.events is ${engine_events}, expected > 0")
 endif()
-string(JSON decision_count ERROR_VARIABLE parse_error
-       GET "${telemetry_text}" histograms scheduler.decision_seconds count)
+string(JSON invocations ERROR_VARIABLE parse_error
+       GET "${telemetry_text}" counters scheduler.invocations)
 if(parse_error)
-  message(FATAL_ERROR "telemetry_smoke: no scheduler.decision_seconds histogram: ${parse_error}")
+  message(FATAL_ERROR "telemetry_smoke: counters lacks scheduler.invocations: ${parse_error}")
 endif()
-if(decision_count LESS_EQUAL 0)
-  message(FATAL_ERROR "telemetry_smoke: scheduler.decision_seconds is empty")
+if(invocations LESS_EQUAL 0)
+  message(FATAL_ERROR "telemetry_smoke: scheduler.invocations is ${invocations}, expected > 0")
 endif()
+
+# --- profile.json: the phases that own the wall time -------------------------
+file(READ "${profile_file}" profile_text)
+string(JSON phase_count LENGTH "${profile_text}" phases)
+math(EXPR last_phase "${phase_count} - 1")
+foreach(i RANGE ${last_phase})
+  string(JSON name GET "${profile_text}" phases ${i} name)
+  string(JSON calls GET "${profile_text}" phases ${i} calls)
+  set(phase_calls_${name} ${calls})
+endforeach()
+if(NOT phase_calls_scheduler EQUAL invocations)
+  message(FATAL_ERROR "telemetry_smoke: profile has ${phase_calls_scheduler} scheduler "
+                      "calls, telemetry ${invocations} invocations")
+endif()
+foreach(phase engine.dispatch fluid.solve)
+  if(NOT phase_calls_${phase} GREATER 0)
+    message(FATAL_ERROR "telemetry_smoke: profile phase ${phase} never ran")
+  endif()
+endforeach()
 
 # --- chrome trace -----------------------------------------------------------
 file(READ "${trace_file}" trace_text)
@@ -72,5 +96,14 @@ string(JSON first_phase ERROR_VARIABLE parse_error GET "${trace_text}" traceEven
 if(parse_error)
   message(FATAL_ERROR "telemetry_smoke: traceEvents[0] lacks 'ph': ${parse_error}")
 endif()
+
+# Simulated time only: every event belongs to the cluster process (pid 1).
+math(EXPR last_event "${event_count} - 1")
+foreach(i RANGE ${last_event})
+  string(JSON pid GET "${trace_text}" traceEvents ${i} pid)
+  if(NOT pid EQUAL 1)
+    message(FATAL_ERROR "telemetry_smoke: traceEvents[${i}] has pid ${pid}, expected 1")
+  endif()
+endforeach()
 
 message(STATUS "telemetry_smoke: ok (${engine_events} events, ${event_count} trace events)")

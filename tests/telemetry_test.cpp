@@ -7,6 +7,8 @@
 
 #include "core/batch_system.h"
 #include "core/scheduler.h"
+#include "core/simulation.h"
+#include "stats/profiler.h"
 #include "stats/telemetry.h"
 #include "test_support.h"
 
@@ -263,29 +265,44 @@ TEST_F(GlobalTelemetry, TimedRecordsIntoGlobalRegistry) {
 }
 
 TEST_F(GlobalTelemetry, SimulationPopulatesEngineAndSchedulerMetrics) {
-  sim::Engine engine;
-  stats::Recorder recorder;
-  platform::Cluster cluster(engine, test::tiny_platform(4));
-  core::BatchSystem batch(engine, cluster, core::make_scheduler("easy"), recorder);
+  namespace prof = stats::profiler;
+  prof::set_enabled(true);
+  prof::Profiler::global().reset();
+  core::SimulationConfig config;
+  config.platform = test::tiny_platform(4);
+  config.scheduler = "easy";
+  std::vector<workload::Job> jobs;
   for (int i = 1; i <= 4; ++i) {
-    batch.submit(test::rigid_job(i, 2, 10.0, static_cast<double>(i)));
+    jobs.push_back(test::rigid_job(i, 2, 10.0, static_cast<double>(i)));
   }
-  engine.run();
+  const core::SimulationResult result = core::run_simulation(config, std::move(jobs));
+  prof::set_enabled(false);
+
   auto& registry = Registry::global();
   EXPECT_EQ(registry.counter("batch.jobs_started").value(), 4u);
   EXPECT_EQ(registry.counter("cluster.nodes_allocated").value(), 8u);
   EXPECT_EQ(registry.counter("cluster.nodes_released").value(), 8u);
   EXPECT_GT(registry.counter("scheduler.invocations").value(), 0u);
-  EXPECT_GT(registry.histogram("scheduler.decision_seconds").count(), 0u);
-  EXPECT_GT(registry.histogram("engine.pop_seconds").count(), 0u);
-  EXPECT_GT(registry.histogram("engine.dispatch_seconds").count(), 0u);
-  EXPECT_GT(registry.histogram("fluid.rebalance_seconds").count(), 0u);
+  EXPECT_EQ(registry.counter("scheduler.invocations").value(), result.scheduler_invocations);
+  EXPECT_EQ(registry.counter("scheduler.rounds").value(), result.scheduler_rounds);
+  EXPECT_EQ(registry.counter("engine.events").value(), result.events_processed);
   EXPECT_DOUBLE_EQ(registry.gauge("cluster.nodes").value(), 4.0);
   // Queue depth was sampled at every scheduling point and ended at zero.
-  EXPECT_GT(registry.gauge("batch.queue_depth").updates(), 0u);
+  EXPECT_EQ(registry.gauge("batch.queue_depth").updates(), result.scheduler_invocations);
   EXPECT_DOUBLE_EQ(registry.gauge("batch.queue_depth").value(), 0.0);
-  // All engine dispatch work landed in spans.
-  EXPECT_FALSE(registry.spans().spans().empty());
+  EXPECT_DOUBLE_EQ(registry.gauge("cluster.free_nodes").value(), 4.0);
+  // Wall time is the profiler's: the registry keeps no wall-clock timers of
+  // its own, and the scheduler, dispatch and fluid phases cover that work.
+  for (const char* timer : {"engine.pop_seconds", "engine.dispatch_seconds",
+                            "fluid.rebalance_seconds", "scheduler.decision_seconds"}) {
+    EXPECT_EQ(registry.histograms().count(timer), 0u) << timer;
+  }
+  if (prof::compiled()) {
+    const auto& profiler = prof::Profiler::global();
+    EXPECT_EQ(profiler.stats(prof::Phase::kScheduler).calls, result.scheduler_invocations);
+    EXPECT_GT(profiler.stats(prof::Phase::kEngineDispatch).calls, 0u);
+    EXPECT_GT(profiler.stats(prof::Phase::kFluidSolve).calls, 0u);
+  }
 }
 
 TEST(TelemetryDisabled, SimulationLeavesGlobalRegistryEmpty) {
