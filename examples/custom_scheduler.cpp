@@ -43,9 +43,10 @@ class SjfMalleableScheduler final : public core::Scheduler {
       for (const core::QueuedJob& queued : ctx.queue()) {
         const int size = core::passes::feasible_start_size(*queued.job, ctx.free_nodes());
         if (size < 0) continue;
-        const bool aged = queued.waiting_for > max_age_;
+        const double waited = queued.waiting_for(ctx.now());
+        const bool aged = waited > max_age_;
         // Walltime is the only runtime signal a real batch system has.
-        const double key = aged ? -queued.waiting_for : queued.job->walltime_limit;
+        const double key = aged ? -waited : queued.job->walltime_limit;
         if (!best || key < best_key) {
           best = queued.job;
           best_size = size;

@@ -11,6 +11,19 @@ namespace elastisim::core {
 
 using workload::JobId;
 
+namespace {
+
+/// The row of job `id` in the queue or running rows; the job must have one.
+template <typename Row>
+typename std::vector<Row>::iterator row_of(std::vector<Row>& rows, JobId id) {
+  auto it = std::find_if(rows.begin(), rows.end(),
+                         [id](const Row& row) { return row.job->id == id; });
+  assert(it != rows.end() && "job has no row");
+  return it;
+}
+
+}  // namespace
+
 std::string to_string(FailurePolicy policy) {
   switch (policy) {
     case FailurePolicy::kKill: return "kill";
@@ -129,7 +142,7 @@ void BatchSystem::enter_queue(JobId id) {
   }
   job.state = JobState::kQueued;
   notify(stats::JobChange::kQueued, job);
-  queue_order_.push_back(id);
+  queue_.push_back({&job.job});
   arm_timer();
   arm_tick();
   invoke_scheduler(stats::JournalCause::kSubmit);
@@ -151,7 +164,7 @@ void BatchSystem::resolve_dependents(JobId id, bool succeeded) {
       --held_;
       child.state = JobState::kQueued;
       notify(stats::JobChange::kQueued, child);
-      queue_order_.push_back(child_id);
+      queue_.push_back({&child.job});
       ELSIM_DEBUG("t={} job {} released into the queue", engine_->now(), child_id);
       arm_timer();
       arm_tick();
@@ -161,11 +174,9 @@ void BatchSystem::resolve_dependents(JobId id, bool succeeded) {
 
 void BatchSystem::cancel_job(Managed& job) {
   const JobId id = job.job.id;
-  assert(job.state == JobState::kPending || job.state == JobState::kHeld ||
-         job.state == JobState::kQueued);
-  if (job.state == JobState::kQueued) {
-    queue_order_.erase(std::find(queue_order_.begin(), queue_order_.end(), id));
-  }
+  // Only jobs that never reached the queue: a queued job's dependencies all
+  // finished, so none of them can fail any more.
+  assert(job.state == JobState::kPending || job.state == JobState::kHeld);
   job.state = JobState::kCancelled;
   recorder_->on_cancel(id, engine_->now());
   notify(stats::JobChange::kCancelled, job);
@@ -185,8 +196,9 @@ std::vector<platform::NodeId> BatchSystem::nodes_of(JobId id) const {
 }
 
 std::vector<JobId> BatchSystem::unfinished_job_ids() const {
-  std::vector<JobId> ids = queue_order_;
-  ids.insert(ids.end(), running_order_.begin(), running_order_.end());
+  std::vector<JobId> ids;
+  for (const QueuedJob& row : queue_) ids.push_back(row.job->id);
+  for (const RunningJob& row : running_) ids.push_back(row.job->id);
   return ids;
 }
 
@@ -281,12 +293,12 @@ void BatchSystem::start_job(JobId id, int nodes) {
   }
   assert(nodes <= free_nodes() && "not enough free nodes");
 
-  queue_order_.erase(std::find(queue_order_.begin(), queue_order_.end(), id));
+  queue_.erase(row_of(queue_, id));
   job.state = JobState::kRunning;
   ++starts_total_;
   job.start_time = engine_->now();
   job.nodes = take_free_nodes(nodes);
-  running_order_.push_back(id);
+  running_.push_back({&job.job, job.start_time, nodes, nodes});
   recorder_->on_start(id, engine_->now(), nodes);
   notify(stats::JobChange::kStarted, job, job.nodes);
   ELSIM_DEBUG("t={} start job {} on {} nodes", engine_->now(), id, nodes);
@@ -305,7 +317,6 @@ void BatchSystem::start_job(JobId id, int nodes) {
   } else {
     job.execution->start();
   }
-  rebuild_views();
 }
 
 void BatchSystem::set_target(JobId id, int nodes) {
@@ -320,7 +331,7 @@ void BatchSystem::set_target(JobId id, int nodes) {
   if (clamped != current && clamped != previous_target) {
     notify_resize(stats::ResizeChange::kTarget, job, current, clamped);
   }
-  rebuild_views();
+  update_running_row(job);
 }
 
 // ---------------------------------------------------------------------------
@@ -345,12 +356,12 @@ void BatchSystem::process_boundary(JobId id) {
     const int current = static_cast<int>(job.nodes.size());
     const int desired = job.job.clamp_nodes(current + job.boundary_delta);
     if (desired != current) {
-      rebuild_views();
       const bool granted =
           scheduler_->on_evolving_request(*this, id, desired - current);
       recorder_->on_evolving_request(id, granted);
       notify_resize(stats::ResizeChange::kEvolving, job, current, desired, {}, granted);
       if (granted) job.pending_target = desired;
+      update_running_row(job);
     }
     job.boundary_delta = 0;
   }
@@ -362,6 +373,7 @@ void BatchSystem::process_boundary(JobId id) {
   int target = job.pending_target >= 0 ? job.pending_target
                                        : static_cast<int>(job.nodes.size());
   job.pending_target = -1;
+  update_running_row(job);
   const int current = static_cast<int>(job.nodes.size());
   if (target > current) {
     // Growth is bounded by what is free right now.
@@ -388,6 +400,7 @@ void BatchSystem::apply_resize(Managed& job, int target) {
     std::vector<platform::NodeId> grown = job.nodes;
     for (platform::NodeId node : added) grown.push_back(node);
     job.nodes = grown;
+    update_running_row(job);
     recorder_->on_resize(id, engine_->now(), target);
     notify_resize(stats::ResizeChange::kExpanded, job, current, target, added);
     ELSIM_DEBUG("t={} expand job {} {} -> {}", engine_->now(), id, current, target);
@@ -403,13 +416,13 @@ void BatchSystem::apply_resize(Managed& job, int target) {
         [this, id, kept, removed, current, target] {
           Managed& shrunk = managed(id);
           shrunk.nodes = kept;
+          update_running_row(shrunk);
           for (platform::NodeId node : removed) return_node(node);
           recorder_->on_resize(id, engine_->now(), target);
           notify_resize(stats::ResizeChange::kShrunk, shrunk, current, target, removed);
           invoke_scheduler(stats::JournalCause::kShrinkComplete);
         });
   }
-  rebuild_views();
 }
 
 void BatchSystem::handle_completion(JobId id) {
@@ -421,7 +434,7 @@ void BatchSystem::handle_completion(JobId id) {
   }
   job.state = JobState::kFinished;
   const std::vector<platform::NodeId> released = release_all_nodes(job);
-  running_order_.erase(std::find(running_order_.begin(), running_order_.end(), id));
+  running_.erase(row_of(running_, id));
   recorder_->on_finish(id, engine_->now(), /*killed=*/false);
   notify(stats::JobChange::kFinished, job, released);
   ++finished_;
@@ -439,7 +452,7 @@ void BatchSystem::handle_walltime(JobId id) {
   job.execution->abort();
   job.state = JobState::kKilled;
   const std::vector<platform::NodeId> released = release_all_nodes(job);
-  running_order_.erase(std::find(running_order_.begin(), running_order_.end(), id));
+  running_.erase(row_of(running_, id));
   recorder_->on_finish(id, engine_->now(), /*killed=*/true);
   notify(stats::JobChange::kTimedOut, job, released);
   ++killed_;
@@ -518,8 +531,8 @@ void BatchSystem::fail_node(platform::NodeId node, double repair_time) {
     return;
   }
   // Find the victim job (if any — the node may be mid-release).
-  for (JobId id : running_order_) {
-    Managed& job = managed(id);
+  for (const RunningJob& row : running_) {
+    Managed& job = managed(row.job->id);
     if (std::find(job.nodes.begin(), job.nodes.end(), node) != job.nodes.end()) {
       evict_job(job, node);
       break;
@@ -622,7 +635,7 @@ void BatchSystem::evict_job(Managed& job, platform::NodeId failed_node) {
   const std::vector<platform::NodeId> released = release_all_nodes(job);
   job.pending_target = -1;
   job.boundary_delta = 0;
-  running_order_.erase(std::find(running_order_.begin(), running_order_.end(), id));
+  running_.erase(row_of(running_, id));
   if (config_.failure_policy == FailurePolicy::kKill) {
     job.execution.reset();
     kill_evicted_job(job, failed_node, /*requeue_limit=*/false, released);
@@ -650,7 +663,7 @@ void BatchSystem::evict_job(Managed& job, platform::NodeId failed_node) {
                                     .checkpoint_phase = job.checkpoint.phase,
                                     .checkpoint_iteration = job.checkpoint.iteration});
   }
-  queue_order_.push_back(id);
+  queue_.push_back({&job.job});
   ++requeues_;
 }
 
@@ -676,9 +689,7 @@ void BatchSystem::invoke_scheduler(stats::JournalCause cause) {
     ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kScheduler);
     do {
       rerun_scheduler_ = false;
-      rebuild_views();
-      scheduler_jobs_scanned_ +=
-          static_cast<std::uint64_t>(queue_view_.size() + running_view_.size());
+      scheduler_jobs_scanned_ += static_cast<std::uint64_t>(queue_.size() + running_.size());
       // elsim-lint: allow(hot-virtual-loop) -- the virtual call IS the scheduler plugin API; one dispatch per convergence round, not per job
       scheduler_->schedule(*this);
       if (++rounds > 1000) {
@@ -696,7 +707,7 @@ void BatchSystem::invoke_scheduler(stats::JournalCause cause) {
     observers_.emit(&stats::RunObserver::on_point_end,
                     stats::SchedulingPoint{.cause = cause, .state = snapshot(), .rounds = rounds,
                                            .started = starts_total_ - starts_before,
-                                           .queue = queue_order_});
+                                           .queue = queue_});
   }
   in_scheduler_ = false;
 }
@@ -708,26 +719,10 @@ bool BatchSystem::test_corrupt_double_allocation(workload::JobId id) {
   return true;
 }
 
-void BatchSystem::rebuild_views() {
-  const sim::SimTime now = engine_->now();  // hoisted: one clock read per rebuild
-  queue_view_.clear();
-  queue_view_.reserve(queue_order_.size());
-  for (JobId id : queue_order_) {
-    const Managed& job = managed(id);
-    queue_view_.push_back(QueuedJob{&job.job, now - job.job.submit_time});
-  }
-  running_view_.clear();
-  running_view_.reserve(running_order_.size());
-  for (JobId id : running_order_) {
-    const Managed& job = managed(id);
-    double remaining = sim::kTimeInfinity;
-    if (std::isfinite(job.job.walltime_limit)) {
-      remaining = std::max(0.0, job.start_time + job.job.walltime_limit - now);
-    }
-    const int nodes = static_cast<int>(job.nodes.size());
-    running_view_.push_back(RunningJob{&job.job, job.start_time, nodes, remaining,
-                                       job.pending_target >= 0 ? job.pending_target : nodes});
-  }
+void BatchSystem::update_running_row(const Managed& job) {
+  RunningJob& row = *row_of(running_, job.job.id);
+  row.nodes = static_cast<int>(job.nodes.size());
+  row.pending_target = job.pending_target >= 0 ? job.pending_target : row.nodes;
 }
 
 void BatchSystem::explain(workload::JobId id, stats::HoldReason reason, std::string detail) {
@@ -736,8 +731,8 @@ void BatchSystem::explain(workload::JobId id, stats::HoldReason reason, std::str
 
 stats::Snapshot BatchSystem::snapshot() const {
   return {.time = engine_->now(),
-          .queued = static_cast<int>(queue_order_.size()),
-          .running = static_cast<int>(running_order_.size()),
+          .queued = static_cast<int>(queue_.size()),
+          .running = static_cast<int>(running_.size()),
           .free = static_cast<int>(free_nodes_.size()),
           .failed = static_cast<int>(failed_nodes_.size()),
           .drained = static_cast<int>(drained_nodes_.size()),

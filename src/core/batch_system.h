@@ -137,8 +137,8 @@ class BatchSystem final : public SchedulerContext {
   std::size_t requeued_jobs() const { return requeues_; }
   std::size_t failed_nodes_now() const { return failed_nodes_.size(); }
   std::size_t drained_nodes_now() const { return drained_nodes_.size(); }
-  std::size_t queued_jobs() const { return queue_order_.size(); }
-  std::size_t running_jobs() const { return running_order_.size(); }
+  std::size_t queued_jobs() const { return queue_.size(); }
+  std::size_t running_jobs() const { return running_.size(); }
   Scheduler& scheduler_algorithm() { return *scheduler_; }
 
   /// Scheduling points executed and scheduler passes inside them (the
@@ -148,7 +148,7 @@ class BatchSystem final : public SchedulerContext {
   std::uint64_t scheduler_rounds() const { return scheduler_rounds_; }
 
   /// Jobs presented to the scheduler summed over every round (queued +
-  /// running views); the per-invocation rescan cost that dominates large
+  /// running rows); the per-invocation rescan cost that dominates large
   /// workloads. Always counted, like the invocation/round counters.
   std::uint64_t scheduler_jobs_scanned() const { return scheduler_jobs_scanned_; }
 
@@ -163,8 +163,8 @@ class BatchSystem final : public SchedulerContext {
   double now() const override;
   int total_nodes() const override;
   int free_nodes() const override;
-  const std::vector<QueuedJob>& queue() const override { return queue_view_; }
-  const std::vector<RunningJob>& running() const override { return running_view_; }
+  const std::vector<QueuedJob>& queue() const override { return queue_; }
+  const std::vector<RunningJob>& running() const override { return running_; }
   double user_usage(const std::string& user) const override;
   void start_job(workload::JobId id, int nodes) override;
   void set_target(workload::JobId id, int nodes) override;
@@ -173,7 +173,7 @@ class BatchSystem final : public SchedulerContext {
                std::string detail = std::string()) override;
 
  private:
-  /// The checker reads the private pools/orders directly so validation needs
+  /// The checker reads the private pools/rows directly so validation needs
   /// no public surface area beyond the attach call.
   friend class InvariantChecker;
 
@@ -243,7 +243,8 @@ class BatchSystem final : public SchedulerContext {
   /// Runs the scheduler to quiescence; `cause` is what triggered the
   /// scheduling point (recorded as the journal record's cause).
   void invoke_scheduler(stats::JournalCause cause);
-  void rebuild_views();
+  /// Copies `job`'s allocation size and pending target into its running row.
+  void update_running_row(const Managed& job);
   void arm_timer();
   /// Queue/cluster state now, shared by every observer of one notification.
   stats::Snapshot snapshot() const;
@@ -266,8 +267,11 @@ class BatchSystem final : public SchedulerContext {
 
   std::unordered_map<workload::JobId, std::unique_ptr<Managed>> jobs_;
   std::unordered_map<workload::JobId, std::vector<workload::JobId>> dependents_;
-  std::vector<workload::JobId> queue_order_;
-  std::vector<workload::JobId> running_order_;
+  /// The only ordered job state: queued jobs in queue-entry order, running
+  /// jobs in start order. Each row is updated where its job changes; the
+  /// scheduler, the journal and the invariant checker all read these.
+  std::vector<QueuedJob> queue_;
+  std::vector<RunningJob> running_;
   std::set<platform::NodeId> free_nodes_;
   std::set<platform::NodeId> failed_nodes_;
   std::set<platform::NodeId> drained_nodes_;      // out of service, intact
@@ -278,9 +282,6 @@ class BatchSystem final : public SchedulerContext {
   /// Latest scheduled repair per currently failed node; a repair event only
   /// restores the node once no later outage window covers it.
   std::unordered_map<platform::NodeId, double> repair_until_;
-
-  std::vector<QueuedJob> queue_view_;
-  std::vector<RunningJob> running_view_;
 
   std::size_t finished_ = 0;
   std::size_t killed_ = 0;

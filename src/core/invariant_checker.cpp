@@ -33,6 +33,18 @@ const char* state_name(int state) {
   return "?";
 }
 
+/// Whether a running row still says what its job's state gives: the
+/// reference a from-scratch rebuild of the row would produce. (A template so
+/// it can take BatchSystem's private Managed by deduction.)
+template <typename Managed>
+bool running_row_current(const RunningJob& row, const Managed& job) {
+  const int nodes = static_cast<int>(job.nodes.size());
+  const int target = job.pending_target >= 0 ? job.pending_target : nodes;
+  // elsim-lint: allow(float-equality) -- the row holds an exact copy, not a computed value
+  return row.job == &job.job && row.start_time == job.start_time && row.nodes == nodes &&
+         row.pending_target == target;
+}
+
 }  // namespace
 
 void InvariantChecker::attach(sim::Engine& engine, BatchSystem& batch) {
@@ -64,8 +76,8 @@ void InvariantChecker::on_point_begin(const stats::SchedulingPoint&) {
     sampler_ = batch.observers().find<stats::StateSampler>();
   }
   begin_seen_ = true;
-  begin_queued_ = static_cast<int>(batch.queue_order_.size());
-  begin_running_ = static_cast<int>(batch.running_order_.size());
+  begin_queued_ = static_cast<int>(batch.queue_.size());
+  begin_running_ = static_cast<int>(batch.running_.size());
   begin_free_ = static_cast<int>(batch.free_nodes_.size());
   begin_total_ = batch.total_nodes();
   begin_journal_size_ = journal_ ? journal_->size() : 0;
@@ -110,16 +122,17 @@ bool InvariantChecker::quick_state_ok(const BatchSystem& batch) {
 
   owner_scratch_.assign(total, kNoOwner);
   std::size_t allocated = 0;
-  for (workload::JobId id : batch.running_order_) {
-    const auto it = batch.jobs_.find(id);
+  for (const RunningJob& row : batch.running_) {
+    const auto it = batch.jobs_.find(row.job->id);
     if (it == batch.jobs_.end()) return false;
     const BatchSystem::Managed& job = *it->second;
     if (job.state != JobState::kRunning && job.state != JobState::kAtBoundary) return false;
     if (job.nodes.empty()) return false;
+    if (!running_row_current(row, job)) return false;
     for (platform::NodeId node : job.nodes) {
       if (node >= total) return false;
       if (owner_scratch_[node] != kNoOwner) return false;
-      owner_scratch_[node] = id;
+      owner_scratch_[node] = row.job->id;
       ++allocated;
       if (batch.free_nodes_.count(node) != 0 || batch.failed_nodes_.count(node) != 0 ||
           batch.drained_nodes_.count(node) != 0) {
@@ -145,12 +158,10 @@ bool InvariantChecker::quick_state_ok(const BatchSystem& batch) {
 }
 
 bool InvariantChecker::batch_state_ok(const BatchSystem& batch) {
-  const std::size_t total = batch.cluster_->node_count();
+  // quick_state_ok() passed just before: every running row and the
+  // allocation behind it are valid. Left to check: only running jobs hold
+  // nodes, the rows cover exactly the queued and running jobs, the counter.
   using JobState = BatchSystem::JobState;
-  constexpr std::uint64_t kNoOwner = ~std::uint64_t{0};
-
-  owner_scratch_.assign(total, kNoOwner);
-  std::size_t allocated = 0;
   std::size_t pending = 0, held = 0, queued = 0, running = 0, at_boundary = 0;
   // elsim-lint: allow(unordered-iteration) -- detection only; order-independent
   for (const auto& entry : batch.jobs_) {
@@ -168,47 +179,14 @@ bool InvariantChecker::batch_state_ok(const BatchSystem& batch) {
     const bool holds_allocation =
         job.state == JobState::kRunning || job.state == JobState::kAtBoundary;
     if (holds_allocation == job.nodes.empty()) return false;
-    if (!holds_allocation) continue;
-    for (platform::NodeId node : job.nodes) {
-      if (node >= total) return false;
-      if (owner_scratch_[node] != kNoOwner) return false;
-      owner_scratch_[node] = entry.first;
-      ++allocated;
-      if (batch.free_nodes_.count(node) != 0 || batch.failed_nodes_.count(node) != 0 ||
-          batch.drained_nodes_.count(node) != 0) {
-        return false;
-      }
-    }
   }
-
-  for (platform::NodeId node : batch.free_nodes_) {
-    if (node >= total || batch.failed_nodes_.count(node) != 0 ||
-        batch.drained_nodes_.count(node) != 0) {
-      return false;
-    }
-  }
-  for (platform::NodeId node : batch.failed_nodes_) {
-    if (node >= total || batch.drained_nodes_.count(node) != 0) return false;
-  }
-  for (platform::NodeId node : batch.drained_nodes_) {
-    if (node >= total) return false;
-  }
-  if (allocated + batch.free_nodes_.size() + batch.failed_nodes_.size() +
-          batch.drained_nodes_.size() !=
-      total) {
+  if (batch.queue_.size() != queued || batch.running_.size() != running + at_boundary) {
     return false;
   }
-
-  if (batch.queue_order_.size() != queued) return false;
-  for (workload::JobId id : batch.queue_order_) {
-    const auto it = batch.jobs_.find(id);
-    if (it == batch.jobs_.end() || it->second->state != JobState::kQueued) return false;
-  }
-  if (batch.running_order_.size() != running + at_boundary) return false;
-  for (workload::JobId id : batch.running_order_) {
-    const auto it = batch.jobs_.find(id);
-    if (it == batch.jobs_.end() || (it->second->state != JobState::kRunning &&
-                                    it->second->state != JobState::kAtBoundary)) {
+  for (const QueuedJob& row : batch.queue_) {
+    const auto it = batch.jobs_.find(row.job->id);
+    if (it == batch.jobs_.end() || it->second->state != JobState::kQueued ||
+        row.job != &it->second->job) {
       return false;
     }
   }
@@ -314,26 +292,35 @@ void InvariantChecker::check_batch_state_detailed(const BatchSystem& batch) {
                    batch.drained_nodes_.size(), total));
   }
 
-  // Queue/running orders must agree with the per-job states.
-  if (batch.queue_order_.size() != queued) {
-    fail(&batch, now, util::fmt("queue order lists {} jobs but {} jobs are queued",
-                                batch.queue_order_.size(), queued));
+  // Queue/running rows must agree with the per-job states, and each row
+  // with what its job's state gives.
+  if (batch.queue_.size() != queued) {
+    fail(&batch, now, util::fmt("queue lists {} jobs but {} jobs are queued",
+                                batch.queue_.size(), queued));
   }
-  for (JobId id : batch.queue_order_) {
+  for (const QueuedJob& row : batch.queue_) {
+    const JobId id = row.job->id;
     const auto it = batch.jobs_.find(id);
-    if (it == batch.jobs_.end() || it->second->state != JobState::kQueued) {
-      fail(&batch, now, util::fmt("queue order lists job {} which is not queued", id));
+    if (it == batch.jobs_.end() || it->second->state != JobState::kQueued ||
+        row.job != &it->second->job) {
+      fail(&batch, now, util::fmt("queue lists job {} which is not queued", id));
     }
   }
-  if (batch.running_order_.size() != running + at_boundary) {
-    fail(&batch, now, util::fmt("run order lists {} jobs but {} jobs hold allocations",
-                                batch.running_order_.size(), running + at_boundary));
+  if (batch.running_.size() != running + at_boundary) {
+    fail(&batch, now, util::fmt("running rows list {} jobs but {} jobs hold allocations",
+                                batch.running_.size(), running + at_boundary));
   }
-  for (JobId id : batch.running_order_) {
+  for (const RunningJob& row : batch.running_) {
+    const JobId id = row.job->id;
     const auto it = batch.jobs_.find(id);
     if (it == batch.jobs_.end() || (it->second->state != JobState::kRunning &&
                                     it->second->state != JobState::kAtBoundary)) {
-      fail(&batch, now, util::fmt("run order lists job {} which is not running", id));
+      fail(&batch, now, util::fmt("running rows list job {} which is not running", id));
+    }
+    if (!running_row_current(row, *it->second)) {
+      fail(&batch, now,
+           util::fmt("running row of job {} is stale: {} nodes, target {}, started t={}",
+                     id, row.nodes, row.pending_target, row.start_time));
     }
   }
   const std::size_t unfinished = pending + held + queued + running + at_boundary;
@@ -388,8 +375,8 @@ void InvariantChecker::check_sinks(const BatchSystem& batch) {
 
   if (sampler_ != nullptr && !sampler_->samples().empty()) {
     const stats::StateSample& sample = sampler_->samples().back();
-    const int queued = static_cast<int>(batch.queue_order_.size());
-    const int running = static_cast<int>(batch.running_order_.size());
+    const int queued = static_cast<int>(batch.queue_.size());
+    const int running = static_cast<int>(batch.running_.size());
     const int free_nodes = static_cast<int>(batch.free_nodes_.size());
     const int down = static_cast<int>(batch.failed_nodes_.size() +
                                       batch.drained_nodes_.size());

@@ -2,7 +2,7 @@
 //
 // The batch system's correctness rests on a handful of conservation laws:
 // every cluster node is in exactly one of {free, failed, drained, allocated
-// to one job}, the queue/running orders agree with the per-job states,
+// to one job}, the queue/running rows agree with the per-job states,
 // simulated time and trace sequence numbers only move forward, fluid-model
 // progress stays within [0, 1], and the journal/sampler snapshots agree with
 // the live queue. In debug builds scattered assert()s cover fragments of
@@ -81,12 +81,14 @@ class InvariantChecker final : public stats::RunObserver {
   [[noreturn]] void fail(const BatchSystem* batch, double now, const std::string& what) const;
   void check_batch_state(const BatchSystem& batch);
   /// O(running jobs + nodes) check run at every scheduling point: node
-  /// allocation ownership, pool disjointness, and conservation. Returns
+  /// allocation ownership, pool disjointness, conservation, and each running
+  /// row against its job's state. Returns
   /// false on the first anomaly without composing a message.
   bool quick_state_ok(const BatchSystem& batch);
-  /// Allocation-free single pass over ALL jobs (state counts, queue/run
-  /// order agreement, unfinished counter); returns false on the first
-  /// anomaly without composing a message.
+  /// Allocation-free single pass over ALL jobs, run once quick_state_ok()
+  /// passed (state counts, only running jobs hold nodes, queue/running rows
+  /// cover exactly the queued/running jobs, unfinished counter); returns
+  /// false on the first anomaly without composing a message.
   bool batch_state_ok(const BatchSystem& batch);
   /// Sorted re-walk taken only after batch_state_ok() failed, so the thrown
   /// diagnostic is identical across runs regardless of hash order.
@@ -125,7 +127,7 @@ class InvariantChecker final : public stats::RunObserver {
   int begin_total_ = 0;
   std::size_t begin_journal_size_ = 0;
 
-  // Node-to-owning-job scratch for batch_state_ok, kept across checks so the
+  // Node-to-owning-job scratch for quick_state_ok, kept across checks so the
   // hot path performs no allocations (entries are re-assigned every pass).
   std::vector<std::uint64_t> owner_scratch_;
 };

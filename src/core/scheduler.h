@@ -24,23 +24,8 @@
 
 namespace elastisim::core {
 
-struct QueuedJob {
-  const workload::Job* job;
-  /// Seconds the job has been waiting.
-  double waiting_for;
-};
-
-struct RunningJob {
-  const workload::Job* job;
-  double start_time;
-  /// Current allocation size (including a reconfiguration in progress).
-  int nodes;
-  /// Walltime-based upper bound on the remaining runtime (the estimate
-  /// backfilling relies on); never negative.
-  double estimated_remaining;
-  /// Pending resize target (equal to `nodes` when none).
-  int pending_target;
-};
+using workload::QueuedJob;
+using workload::RunningJob;
 
 /// The read/decide surface handed to Scheduler::schedule(). Implemented by
 /// the batch system; decisions are validated there (starting a job twice,
@@ -53,7 +38,8 @@ class SchedulerContext {
   virtual double now() const = 0;
   virtual int total_nodes() const = 0;
   virtual int free_nodes() const = 0;
-  /// Queued jobs in submission order.
+  /// Queued jobs in queue-entry order: a job joins the back when it is
+  /// submitted, released by its dependencies, or requeued.
   virtual const std::vector<QueuedJob>& queue() const = 0;
   /// Running jobs in start order.
   virtual const std::vector<RunningJob>& running() const = 0;
@@ -63,7 +49,7 @@ class SchedulerContext {
 
   /// Starts a queued job on `nodes` nodes. Requires nodes in the job's
   /// [min, max] range (exactly `requested` for rigid jobs) and
-  /// nodes <= free_nodes(). The view refreshes immediately.
+  /// nodes <= free_nodes(). queue() and running() reflect it immediately.
   virtual void start_job(workload::JobId id, int nodes) = 0;
 
   /// Sets the desired size of a running malleable/evolving job. Clamped to

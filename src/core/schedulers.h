@@ -59,7 +59,7 @@ class EqualShareScheduler final : public Scheduler {
   void schedule(SchedulerContext& ctx) override;
 };
 
-/// Priority backfilling: (priority desc, submission) order with a
+/// Priority backfilling: priority-descending order (ties in queue order) with a
 /// reservation for the highest-ranked blocked job, EASY-style backfilling
 /// around it, and time-based aging against starvation (one priority level
 /// per `aging_seconds` waited).

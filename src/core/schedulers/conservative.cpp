@@ -78,17 +78,15 @@ class FreeProfile {
 void ConservativeBackfillScheduler::schedule(SchedulerContext& ctx) {
   // Rebuild the reservation schedule from scratch at every invocation
   // (stateless conservative backfilling): running jobs occupy the profile
-  // until their estimated completion; queued jobs are placed in submission
+  // until their estimated completion; queued jobs are placed in queue
   // order at the earliest gap, and any job whose gap begins *now* starts.
   bool started = true;
   while (started) {
     started = false;
     FreeProfile profile(ctx.now(), ctx.total_nodes());
     for (const RunningJob& running : ctx.running()) {
-      profile.reserve(ctx.now(),
-                      std::isfinite(running.estimated_remaining)
-                          ? running.estimated_remaining
-                          : FreeProfile::kForever,
+      const double remaining = running.estimated_remaining(ctx.now());
+      profile.reserve(ctx.now(), std::isfinite(remaining) ? remaining : FreeProfile::kForever,
                       running.nodes);
     }
     bool is_head = true;

@@ -30,7 +30,7 @@ Reservation head_reservation(const SchedulerContext& ctx, int head_size) {
   std::vector<Release> releases;
   releases.reserve(ctx.running().size());
   for (const RunningJob& running : ctx.running()) {
-    releases.push_back({ctx.now() + running.estimated_remaining, running.nodes});
+    releases.push_back({ctx.now() + running.estimated_remaining(ctx.now()), running.nodes});
   }
   std::sort(releases.begin(), releases.end(),
             [](const Release& a, const Release& b) { return a.time < b.time; });

@@ -55,7 +55,7 @@ void ranked_backfill(SchedulerContext& ctx, const RankFn& rank) {
     };
     std::vector<Release> releases;
     for (const RunningJob& running : ctx.running()) {
-      releases.push_back({ctx.now() + running.estimated_remaining, running.nodes});
+      releases.push_back({ctx.now() + running.estimated_remaining(ctx.now()), running.nodes});
     }
     std::sort(releases.begin(), releases.end(),
               [](const Release& a, const Release& b) { return a.time < b.time; });
@@ -115,8 +115,8 @@ void ranked_backfill(SchedulerContext& ctx, const RankFn& rank) {
 
 void PriorityScheduler::schedule(SchedulerContext& ctx) {
   const double aging = aging_seconds_;
-  passes::ranked_backfill(ctx, [aging](const QueuedJob& queued) {
-    const double aged = aging > 0.0 ? queued.waiting_for / aging : 0.0;
+  passes::ranked_backfill(ctx, [aging, &ctx](const QueuedJob& queued) {
+    const double aged = aging > 0.0 ? queued.waiting_for(ctx.now()) / aging : 0.0;
     // Lower key = earlier; higher priority and longer waits sort first.
     return -(static_cast<double>(queued.job->priority) + aged);
   });
@@ -124,8 +124,8 @@ void PriorityScheduler::schedule(SchedulerContext& ctx) {
 
 void FairShareScheduler::schedule(SchedulerContext& ctx) {
   passes::ranked_backfill(ctx, [&ctx](const QueuedJob& queued) {
-    // Users who have consumed the least go first; ties resolve FCFS via the
-    // stable sort over the submission-ordered queue.
+    // Users who have consumed the least go first; ties keep queue-entry
+    // order via the stable sort.
     return ctx.user_usage(queued.job->user);
   });
 }

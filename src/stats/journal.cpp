@@ -180,7 +180,8 @@ void DecisionJournal::on_point_begin(const SchedulingPoint& point) {
 }
 
 void DecisionJournal::on_point_end(const SchedulingPoint& point) {
-  for (workload::JobId id : point.queue) {
+  for (const workload::QueuedJob& queued : point.queue) {
+    const workload::JobId id = queued.job->id;
     if (!has_held_verdict(id)) {
       add({id, VerdictAction::kHeld, HoldReason::kNotConsidered, 0, 0, std::string()});
     }

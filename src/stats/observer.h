@@ -78,14 +78,14 @@ struct Snapshot {
 
 /// One scheduling point. At point_begin `state` is what the scheduler is
 /// about to see; at point_end it is the state after the scheduler converged,
-/// `rounds`/`started` describe the pass and `queue` lists the jobs still
-/// queued, in queue order.
+/// `rounds`/`started` describe the pass and `queue` is the batch system's
+/// queue itself: the jobs still queued, in queue order.
 struct SchedulingPoint {
   JournalCause cause = JournalCause::kTimer;
   Snapshot state;
   int rounds = 0;
   std::uint64_t started = 0;
-  std::span<const workload::JobId> queue = {};
+  std::span<const workload::QueuedJob> queue = {};
 };
 
 enum class JobChange : std::uint8_t {

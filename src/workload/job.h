@@ -9,6 +9,8 @@
 //               (Phase::evolving_delta); the scheduler grants or denies.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -72,6 +74,32 @@ struct Job {
   /// Validates invariants (bounds ordered, at least one phase, positive
   /// sizes); returns an error description or nullopt when valid.
   std::optional<std::string> validate() const;
+};
+
+// The batch system's queue and running rows, which the scheduler interface
+// and the decision journal both read. They live here, below core and stats.
+// Time-derived figures are computed on read from `now`.
+
+struct QueuedJob {
+  const Job* job;
+  /// Seconds the job has been waiting at `now`.
+  double waiting_for(double now) const { return now - job->submit_time; }
+};
+
+struct RunningJob {
+  const Job* job;
+  double start_time;
+  /// Current allocation size (including a reconfiguration in progress).
+  int nodes;
+  /// Pending resize target (equal to `nodes` when none).
+  int pending_target;
+  /// Walltime-based upper bound on the remaining runtime at `now` (the
+  /// estimate backfilling relies on); never negative, infinite without a
+  /// walltime limit.
+  double estimated_remaining(double now) const {
+    if (!std::isfinite(job->walltime_limit)) return std::numeric_limits<double>::infinity();
+    return std::max(0.0, start_time + job->walltime_limit - now);
+  }
 };
 
 }  // namespace elastisim::workload

@@ -28,6 +28,7 @@ class SimulationProperties : public testing::TestWithParam<SweepCase> {
     config.platform.pod_size = 4;
     config.platform.pod_bandwidth = 1e12;
     config.scheduler = param.scheduler;
+    config.validate = true;  // invariant checker, incl. the queue/running row reference
 
     workload::GeneratorConfig generator;
     generator.job_count = 30;
