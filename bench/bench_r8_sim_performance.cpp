@@ -61,27 +61,44 @@ void BM_SchedulerAlgorithms(benchmark::State& state) {
 BENCHMARK(BM_SchedulerAlgorithms)->DenseRange(0, 5)->Unit(benchmark::kMillisecond);
 
 void BM_EventQueueChurn(benchmark::State& state) {
+  // Push `n` events, move each one `moves` times (the fluid model moves
+  // every live completion on every solve), then drain the queue.
   const auto n = static_cast<std::size_t>(state.range(0));
+  const auto moves = static_cast<std::size_t>(state.range(1));
+  std::vector<sim::EventId> ids(n);
   for (auto _ : state) {
     sim::EventQueue queue;
     for (std::size_t i = 0; i < n; ++i) {
-      queue.push(static_cast<double>((i * 7919) % n), [] {});
+      ids[i] = queue.push(static_cast<double>((i * 7919) % n), [] {});
+    }
+    for (std::size_t m = 1; m <= moves; ++m) {
+      for (std::size_t i = 0; i < n; ++i) {
+        queue.reschedule(ids[i], static_cast<double>((i * 7919 + m * 104729) % n));
+      }
     }
     while (!queue.empty()) queue.pop();
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n * (moves + 1)));
+  state.SetLabel(std::to_string(moves) + " moves/event");
 }
-BENCHMARK(BM_EventQueueChurn)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_EventQueueChurn)
+    ->Args({1000, 0})->Args({10000, 0})->Args({100000, 0})
+    ->Args({1000, 16})->Args({10000, 16});
 
 void BM_FluidRebalance(benchmark::State& state) {
   // Cost of one add/remove cycle with `n` concurrent multi-resource
-  // activities: the dominant kernel operation during busy simulations.
+  // activities on 64 busy resources, next to `idle` resources no demand
+  // references: the dominant kernel operation during busy simulations. The
+  // solve only visits referenced resources, so the idle axis should not
+  // move the cost.
   const auto n = static_cast<std::size_t>(state.range(0));
+  const auto idle = static_cast<std::size_t>(state.range(1));
   sim::Engine engine;
   std::vector<sim::ResourceId> resources;
   for (int r = 0; r < 64; ++r) {
     resources.push_back(engine.fluid().add_resource("r", 100.0));
   }
+  for (std::size_t r = 0; r < idle; ++r) engine.fluid().add_resource("idle", 100.0);
   std::vector<sim::ActivityId> active;
   for (std::size_t i = 0; i < n; ++i) {
     active.push_back(engine.fluid().start(
@@ -100,9 +117,11 @@ void BM_FluidRebalance(benchmark::State& state) {
         [] {});
     cursor = (cursor + 1) % active.size();
   }
-  state.SetLabel(std::to_string(n) + " active");
+  state.SetLabel(std::to_string(n) + " active, " + std::to_string(idle) + " idle resources");
 }
-BENCHMARK(BM_FluidRebalance)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_FluidRebalance)
+    ->Args({16, 64})->Args({64, 64})->Args({256, 64})
+    ->Args({16, 4096})->Args({64, 4096})->Args({256, 4096});
 
 }  // namespace
 

@@ -63,8 +63,14 @@ void InvariantChecker::on_engine_event(sim::Engine& engine, double now) {
   last_event_time_ = std::max(last_event_time_, now);
   if (++events_since_fluid_check_ >= fluid_stride_) {
     events_since_fluid_check_ = 0;
-    if (auto error = engine.fluid().check_invariants()) fail(nullptr, now, *error);
+    check_kernel(nullptr, engine, now);
   }
+}
+
+void InvariantChecker::check_kernel(const BatchSystem* batch, const sim::Engine& engine,
+                                    double now) const {
+  if (auto error = engine.queue().check_invariants()) fail(batch, now, *error);
+  if (auto error = engine.fluid().check_invariants()) fail(batch, now, *error);
 }
 
 void InvariantChecker::on_point_begin(const stats::SchedulingPoint&) {
@@ -195,6 +201,7 @@ bool InvariantChecker::batch_state_ok(const BatchSystem& batch) {
 
 void InvariantChecker::check_batch_state_detailed(const BatchSystem& batch) {
   const double now = batch.engine_->now();
+  check_kernel(&batch, *batch.engine_, now);
   const std::size_t total = batch.cluster_->node_count();
   using JobState = BatchSystem::JobState;
 

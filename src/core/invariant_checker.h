@@ -4,8 +4,9 @@
 // every cluster node is in exactly one of {free, failed, drained, allocated
 // to one job}, the queue/running rows agree with the per-job states,
 // simulated time and trace sequence numbers only move forward, fluid-model
-// progress stays within [0, 1], and the journal/sampler snapshots agree with
-// the live queue. In debug builds scattered assert()s cover fragments of
+// progress stays within [0, 1] under a max-min fair allocation whose
+// completion events sit in a consistent event heap, and the journal/sampler
+// snapshots agree with the live queue. In debug builds scattered assert()s cover fragments of
 // this; the InvariantChecker re-verifies the whole state machine in release
 // builds, at every scheduling point and (cheaply) at every engine event.
 //
@@ -49,9 +50,9 @@ class InvariantViolation : public std::runtime_error {
 
 class InvariantChecker final : public stats::RunObserver {
  public:
-  /// `fluid_stride`: run the full fluid-model validation every N engine
-  /// events (the per-event hook otherwise only checks clock monotonicity,
-  /// keeping the hot path to one comparison). `full_state_stride`: every
+  /// `fluid_stride`: run the full kernel validation (event queue and fluid
+  /// model) every N engine events (the per-event hook otherwise only checks
+  /// clock monotonicity, keeping the hot path to one comparison). `full_state_stride`: every
   /// scheduling point gets the O(active) allocation/conservation check; the
   /// O(all jobs) queue-agreement walk runs every N points (violations are
   /// persistent, so a strided walk still catches them — just a few points
@@ -95,6 +96,9 @@ class InvariantChecker final : public stats::RunObserver {
   void check_batch_state_detailed(const BatchSystem& batch);
   void check_sinks(const BatchSystem& batch);
   void on_engine_event(sim::Engine& engine, double now);
+  /// Event-queue heap/slot consistency and the fluid model's invariants
+  /// (including its max-min certificate and completion-event agreement).
+  void check_kernel(const BatchSystem* batch, const sim::Engine& engine, double now) const;
 
   const BatchSystem* batch_ = nullptr;
   // Sinks in the batch system's observer list, found at the first point.

@@ -13,6 +13,11 @@ EventId Engine::schedule_at(SimTime when, EventQueue::Callback callback) {
   return queue_.push(when, std::move(callback));
 }
 
+bool Engine::reschedule(EventId id, SimTime when) {
+  if (when < now_) when = now_;
+  return queue_.reschedule(id, when);
+}
+
 EventId Engine::schedule_in(SimTime delay, EventQueue::Callback callback) {
   assert(delay >= 0.0 && "negative delay");
   return schedule_at(now_ + delay, std::move(callback));

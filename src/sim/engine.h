@@ -36,6 +36,11 @@ class Engine {
   /// Cancels a pending event; no-op if it already fired.
   bool cancel(EventId id) { return queue_.cancel(id); }
 
+  /// Moves a pending event to absolute time `when` (clamped to now like
+  /// schedule_at), ordering it after every event already scheduled for that
+  /// instant. Returns false if the event already fired or was cancelled.
+  bool reschedule(EventId id, SimTime when);
+
   /// Runs until no events remain. Returns the final simulated time.
   SimTime run();
 

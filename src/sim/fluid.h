@@ -9,16 +9,18 @@
 // it) or an activity reaches its rate cap.
 //
 // Whenever the active set changes, the model settles accrued progress,
-// recomputes all rates, and reschedules each activity's completion event on
-// the engine. This reproduces the contention-aware completion times that the
-// original system obtains from SimGrid's fluid models.
+// recomputes all rates over the resources that live activities use, and
+// moves each activity's completion event in place on the engine: an activity
+// owns one event for its whole life, pushed at its first schedule, moved by
+// every solve, cancelled only while it is stalled. This reproduces the
+// contention-aware completion times that the original system obtains from
+// SimGrid's fluid models.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -29,6 +31,8 @@ namespace elastisim::sim {
 class Engine;
 
 using ResourceId = std::uint32_t;
+/// Packs (generation, slot index): a stale id, completed or cancelled, never
+/// names the activity that reuses its slot.
 using ActivityId = std::uint64_t;
 inline constexpr ActivityId kInvalidActivityId = 0;
 
@@ -105,11 +109,15 @@ class FluidModel {
   std::uint64_t activities_touched() const { return activities_touched_; }
 
   /// Total activities ever started (allocation tally for the profiler).
-  std::uint64_t activities_started() const { return next_activity_id_ - 1; }
+  std::uint64_t activities_started() const { return activities_started_; }
 
   /// Validates internal consistency: every activity's remaining work within
   /// [0, total work] (progress in [0, 1]), rates non-negative, finite, and
-  /// within their caps, and per-resource consumption within capacity.
+  /// within their caps, and per-resource consumption within capacity. Also
+  /// certifies max-min optimality (every activity with demands is at its cap
+  /// or uses a saturated resource on which no activity runs faster) and that
+  /// completion events agree with the rates (a progressing or finished
+  /// activity owns a pending event at or after now, a stalled one owns none).
   /// Returns a description of the first broken invariant, or nullopt when
   /// all hold (core::InvariantChecker under --validate).
   std::optional<std::string> check_invariants() const;
@@ -127,31 +135,42 @@ class FluidModel {
     double rate = 0.0;
     std::function<void()> on_complete;
     EventId completion_event = kInvalidEventId;
+    std::uint32_t generation = 1;  // bumped on release; never 0
   };
 
+  /// The live activity `id` names, or nullptr for a stale/unknown id.
+  const Activity* find(ActivityId id) const;
+  /// Drops a finished/cancelled activity from order_ and frees its slot.
+  void release(std::uint32_t slot);
   /// Accrues progress since the last settle instant.
   void settle();
-  /// Recomputes all rates (progressive filling) and reschedules completions.
+  /// Recomputes all rates (progressive filling) and moves completion events.
   void rebalance();
-  void schedule_completion(ActivityId id, Activity& activity);
+  void schedule_completion(std::uint32_t slot, Activity& activity);
   void on_activity_complete(ActivityId id);
 
   Engine* engine_;
   std::vector<Resource> resources_;
-  std::unordered_map<ActivityId, Activity> activities_;
-  std::vector<ActivityId> order_;  // insertion order for deterministic filling
-  ActivityId next_activity_id_ = 1;
+  std::vector<Activity> activities_;  // dense slots, reused via free_slots_
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<std::uint32_t> order_;  // live slots in insertion order (float sums depend on it)
   SimTime last_settle_ = 0.0;
+  std::uint64_t activities_started_ = 0;
   std::uint64_t rebalance_count_ = 0;
   std::uint64_t activities_touched_ = 0;
-  /// Scratch buffers for rebalance(). The solve runs on every share change,
+  /// Scratch state for rebalance(). The solve runs on every share change,
   /// so its working vectors live here and are reused across calls instead of
   /// being reallocated per solve; rebalance() never recurses, which makes the
-  /// reuse safe.
+  /// reuse safe. The per-resource vectors grow lazily in rebalance() (not in
+  /// add_resource, which stays on the set-up path) and are only read at the
+  /// resources in touched_: the ones live demands referenced in the last
+  /// solve, which are also the only ones with nonzero consumption.
   std::vector<double> scratch_avail_;
   std::vector<double> scratch_weight_sum_;
-  std::vector<ActivityId> scratch_unfrozen_;
-  std::vector<ActivityId> scratch_next_unfrozen_;
+  std::vector<std::uint64_t> scratch_stamp_;  // == solve number once in touched_
+  std::vector<ResourceId> touched_;
+  std::vector<std::uint32_t> scratch_unfrozen_;
+  std::vector<std::uint32_t> scratch_next_unfrozen_;
 };
 
 }  // namespace elastisim::sim

@@ -106,6 +106,64 @@ TEST_F(FluidTest, CancelUnknownReturnsFalse) {
   EXPECT_FALSE(fluid().cancel(1234567));
 }
 
+TEST_F(FluidTest, StaleIdOfCompletedActivityLeavesReusedSlotAlone) {
+  const ResourceId cpu = fluid().add_resource("cpu", 10.0);
+  const ActivityId done = fluid().start({10.0, {{cpu, 1.0}}, kTimeInfinity, "a"}, [] {});
+  engine.run();
+  bool newer_done = false;
+  const ActivityId newer = fluid().start({100.0, {{cpu, 1.0}}, kTimeInfinity, "b"},
+                                         [&] { newer_done = true; });  // reuses the slot
+  EXPECT_NE(newer, done);
+  EXPECT_FALSE(fluid().is_active(done));
+  EXPECT_FALSE(fluid().cancel(done));
+  EXPECT_DOUBLE_EQ(fluid().rate(done), 0.0);
+  EXPECT_DOUBLE_EQ(fluid().remaining_work(done), 0.0);
+  EXPECT_TRUE(fluid().is_active(newer));
+  EXPECT_DOUBLE_EQ(fluid().rate(newer), 10.0);
+  engine.run();
+  EXPECT_TRUE(newer_done);
+  EXPECT_DOUBLE_EQ(engine.now(), 11.0);
+}
+
+TEST_F(FluidTest, StaleIdOfCancelledActivityLeavesReusedSlotAlone) {
+  const ResourceId cpu = fluid().add_resource("cpu", 10.0);
+  const ActivityId cancelled = fluid().start({10.0, {{cpu, 1.0}}, kTimeInfinity, "a"}, [] {});
+  EXPECT_TRUE(fluid().cancel(cancelled));
+  const ActivityId newer = fluid().start({10.0, {{cpu, 1.0}}, kTimeInfinity, "b"}, [] {});
+  EXPECT_FALSE(fluid().cancel(cancelled));
+  EXPECT_TRUE(fluid().is_active(newer));
+  EXPECT_EQ(fluid().active_count(), 1u);
+  EXPECT_FALSE(fluid().cancel(kInvalidActivityId));
+}
+
+TEST_F(FluidTest, RateChangesMoveTheCompletionEventInPlace) {
+  // Every start re-solves and moves each live completion; a move is not a
+  // push, so each activity costs exactly one event for its whole life.
+  const ResourceId cpu = fluid().add_resource("cpu", 10.0);
+  for (int i = 0; i < 8; ++i) {
+    fluid().start({10.0 * (i + 1), {{cpu, 1.0}}, kTimeInfinity, "w"}, [] {});
+  }
+  EXPECT_EQ(engine.queue().size(), 8u);
+  EXPECT_EQ(fluid().check_invariants(), std::nullopt);
+  engine.run();
+  EXPECT_EQ(engine.queue().pushes(), 8u);
+  EXPECT_EQ(engine.queue().pops(), 8u);
+  EXPECT_EQ(fluid().rebalance_count(), 16u);
+}
+
+TEST_F(FluidTest, StalledActivityOwnsNoCompletionEvent) {
+  const ResourceId cpu = fluid().add_resource("cpu", 10.0);
+  const ActivityId id = fluid().start({10.0, {{cpu, 1.0}}, kTimeInfinity, "a"}, [] {});
+  EXPECT_EQ(engine.pending_events(), 1u);
+  fluid().set_capacity(cpu, 0.0);
+  EXPECT_EQ(engine.pending_events(), 0u);
+  EXPECT_EQ(fluid().check_invariants(), std::nullopt);
+  fluid().set_capacity(cpu, 5.0);
+  EXPECT_EQ(engine.pending_events(), 1u);
+  EXPECT_DOUBLE_EQ(fluid().rate(id), 5.0);
+  EXPECT_EQ(fluid().check_invariants(), std::nullopt);
+}
+
 TEST_F(FluidTest, CancelSpeedsUpSurvivor) {
   const ResourceId cpu = fluid().add_resource("cpu", 10.0);
   double a_done = -1.0;
@@ -319,6 +377,8 @@ TEST_P(FluidSolverProperty, RatesAreFeasibleAndMaxMin) {
     }
     EXPECT_TRUE(blocked) << "activity below cap is not resource-blocked (rate " << rate << ")";
   }
+  // The model's own certificate (run under --validate) agrees.
+  EXPECT_EQ(fluid.check_invariants(), std::nullopt);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -327,6 +387,102 @@ INSTANTIATE_TEST_SUITE_P(
                     SolverCase{3, 8, 4}, SolverCase{4, 16, 5}, SolverCase{5, 25, 6},
                     SolverCase{8, 40, 7}, SolverCase{10, 80, 8}, SolverCase{2, 50, 9},
                     SolverCase{16, 100, 10}, SolverCase{6, 12, 11}, SolverCase{3, 30, 12}));
+
+// ---------------------------------------------------------------------------
+// Metamorphic properties of the solve
+// ---------------------------------------------------------------------------
+
+struct RandomInstance {
+  std::vector<double> capacity;
+  struct Act {
+    std::vector<Demand> demands;
+    double cap;
+    double work;
+  };
+  std::vector<Act> acts;
+};
+
+RandomInstance random_instance(std::uint64_t seed) {
+  util::Rng rng(seed);
+  RandomInstance instance;
+  const int resources = static_cast<int>(rng.uniform_int(2, 10));
+  const int activities = static_cast<int>(rng.uniform_int(3, 40));
+  for (int r = 0; r < resources; ++r) instance.capacity.push_back(rng.uniform(1.0, 100.0));
+  for (int a = 0; a < activities; ++a) {
+    RandomInstance::Act act;
+    const int uses = static_cast<int>(rng.uniform_int(1, std::min(3, resources)));
+    for (int u = 0; u < uses; ++u) {
+      const auto r = static_cast<ResourceId>(rng.uniform_int(0, resources - 1));
+      bool repeated = false;
+      for (const Demand& demand : act.demands) repeated = repeated || demand.resource == r;
+      if (!repeated) act.demands.push_back({r, rng.uniform(0.5, 3.0)});
+    }
+    act.cap = rng.bernoulli(0.3) ? rng.uniform(0.5, 20.0) : kTimeInfinity;
+    act.work = rng.uniform(10.0, 1000.0);
+    instance.acts.push_back(std::move(act));
+  }
+  return instance;
+}
+
+class FluidMetamorphic : public testing::TestWithParam<std::uint64_t> {};
+
+// Scaling every capacity and rate cap by k scales every rate by k, so every
+// completion time by 1/k (k = 4 keeps the scaled inputs exact).
+TEST_P(FluidMetamorphic, ScalingCapacitiesScalesCompletionTimes) {
+  const RandomInstance instance = random_instance(GetParam());
+  const auto completions = [&](double k) {
+    Engine engine;
+    for (double capacity : instance.capacity) engine.fluid().add_resource("r", capacity * k);
+    std::vector<double> done(instance.acts.size(), -1.0);
+    for (std::size_t a = 0; a < instance.acts.size(); ++a) {
+      const RandomInstance::Act& act = instance.acts[a];
+      engine.fluid().start({act.work, act.demands, act.cap * k, "m"},
+                           [&done, &engine, a] { done[a] = engine.now(); });
+    }
+    engine.run();
+    return done;
+  };
+  const std::vector<double> base = completions(1.0);
+  const std::vector<double> scaled = completions(4.0);
+  for (std::size_t a = 0; a < base.size(); ++a) {
+    ASSERT_GT(base[a], 0.0) << "activity " << a << " never completed";
+    EXPECT_NEAR(scaled[a], base[a] / 4.0, 1e-12 * base[a] / 4.0) << "activity " << a;
+  }
+}
+
+// The order activities start in at one instant does not change the max-min
+// allocation: rates agree to rounding of the per-resource sums.
+TEST_P(FluidMetamorphic, StartOrderLeavesRatesUnchanged) {
+  const RandomInstance instance = random_instance(GetParam());
+  const auto rates = [&](const std::vector<std::size_t>& order) {
+    Engine engine;
+    for (double capacity : instance.capacity) engine.fluid().add_resource("r", capacity);
+    std::vector<ActivityId> ids(instance.acts.size(), kInvalidActivityId);
+    for (std::size_t a : order) {
+      const RandomInstance::Act& act = instance.acts[a];
+      ids[a] = engine.fluid().start({act.work, act.demands, act.cap, "m"}, [] {});
+    }
+    EXPECT_EQ(engine.fluid().check_invariants(), std::nullopt);
+    std::vector<double> out;
+    for (ActivityId id : ids) out.push_back(engine.fluid().rate(id));
+    return out;
+  };
+  std::vector<std::size_t> order(instance.acts.size());
+  for (std::size_t a = 0; a < order.size(); ++a) order[a] = a;
+  const std::vector<double> base = rates(order);
+  util::Rng rng(GetParam() ^ 0x5eedULL);
+  for (std::size_t i = order.size() - 1; i > 0; --i) {
+    std::swap(order[i], order[static_cast<std::size_t>(
+                            rng.uniform_int(0, static_cast<std::int64_t>(i)))]);
+  }
+  const std::vector<double> permuted = rates(order);
+  for (std::size_t a = 0; a < base.size(); ++a) {
+    EXPECT_NEAR(permuted[a], base[a], 1e-12 * base[a]) << "activity " << a;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FluidMetamorphic,
+                         testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 4242));
 
 // Work-conservation property: total completion time of identical activities
 // equals the serialized optimum regardless of arrival pattern.
